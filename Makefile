@@ -1,4 +1,4 @@
-.PHONY: build test race bench verify bench-compare bench-ingest bench-agg test-faults bench-faults bench-http bench-http-smoke bench-http-replicas bench-http-failover test-repl test-chaos
+.PHONY: build test race bench verify bench-compare bench-ingest bench-agg bench-repl test-faults bench-faults bench-http bench-http-smoke bench-http-replicas bench-http-failover test-repl test-chaos
 
 build:
 	go build ./...
@@ -35,13 +35,15 @@ test-faults:
 # The replication chaos campaign, exhaustive: every fault point on the
 # follower replay path (BFABRIC_FAULTS=full), the kill -9 follower
 # convergence test, the ScanRange pagination stress on a live follower,
-# and the online-backup round trips — all under the race detector. The
+# the follower durability contract (group-sync fsync counts, power-cut
+# recovery of every reported lastApplied, durable-only shipping), and
+# the online-backup round trips — all under the race detector. The
 # deterministic subsets of these already run inside `make test`/`make
 # verify`; this target buys the full sweep. Seed the fault-mode shuffle
 # with BFABRIC_FAULT_SEED=n for a reproducible run.
 test-repl:
 	BFABRIC_FAULTS=full go test -race -count=1 \
-		-run 'TestFollowerFaultCampaign|TestKillNineFollowerConvergence|TestFollowerScanPaginationStress|TestDivergenceResync|TestBackup' \
+		-run 'TestFollowerFaultCampaign|TestKillNineFollowerConvergence|TestFollowerScanPaginationStress|TestDivergenceResync|TestBackup|TestFollowerGroupSync|TestFrameThenHeartbeatInOneRead|TestFollowerCrashKeepsReportedPrefix|TestPromoteDuringBurstIsDurable|TestCatchUpShipsOnlyDurable' \
 		./internal/repl ./internal/store
 
 # The promotion chaos campaign, exhaustive: every network fault mode
@@ -129,6 +131,12 @@ bench-ingest:
 bench-agg:
 	BENCH='BenchmarkQ4_|BenchmarkQ5_|BenchmarkQ1_|BenchmarkQ2_' \
 		scripts/bench_compare.sh
+
+# Replication catch-up fence: an empty durable follower replaying the
+# primary's log, diffed against the committed baseline. ns/op follows
+# the fsyncs/frame batch ratio — one fsync per frame is ~10x slower.
+bench-repl:
+	BENCH='BenchmarkR1_' scripts/bench_compare.sh
 
 # Runs the full benchmark suite with -benchmem and refreshes
 # BENCH_baseline.json. Override the per-benchmark budget with

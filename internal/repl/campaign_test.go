@@ -94,7 +94,7 @@ func captureStream(t *testing.T) (primary *store.Store, frames []store.ReplFrame
 func replayWorkload(s *store.Store, frames []store.ReplFrame, midSnap []byte) error {
 	half := len(frames) / 2
 	for _, fr := range frames[:half] {
-		if _, err := s.ApplyReplicated(fr.Payload); err != nil {
+		if err := applyDurable(s, fr.Payload); err != nil {
 			return err
 		}
 	}
@@ -102,11 +102,22 @@ func replayWorkload(s *store.Store, frames []store.ReplFrame, midSnap []byte) er
 		return err
 	}
 	for _, fr := range frames[half:] {
-		if _, err := s.ApplyReplicated(fr.Payload); err != nil {
+		if err := applyDurable(s, fr.Payload); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// applyDurable is the follower's batch of one — apply a frame, then the
+// barrier it runs before reporting the seq — so every fsync of the live
+// replay path stays a campaign fault point.
+func applyDurable(s *store.Store, payload []byte) error {
+	seq, err := s.ApplyReplicated(payload)
+	if err != nil {
+		return err
+	}
+	return s.WaitDurable(seq)
 }
 
 func openFollowerDir(dir string, fsys store.FS) (*store.Store, error) {

@@ -19,7 +19,8 @@ type Status struct {
 	// Connected reports a live session with the primary.
 	Connected bool `json:"connected"`
 	// LastApplied is the follower's committed seq — the asOf every read
-	// served by this replica is at or above.
+	// served by this replica is at or above — as of the last batch made
+	// durable: it never names a seq that is not on local stable storage.
 	LastApplied uint64 `json:"lastApplied"`
 	// PrimarySeq is the primary's head seq as of the last frame or
 	// heartbeat; LastApplied trails it by the replication lag.
@@ -342,29 +343,67 @@ func (f *Follower) session() (handshook bool, err error) {
 		st.Fenced = false
 		st.LastContact = time.Now()
 	})
+	return true, f.stream(conn, br, head)
+}
 
+// progress is one session's bookkeeping between reports.
+type progress struct {
+	// unsynced is the highest seq applied but not yet fsynced: visible to
+	// local readers, in the local WAL's buffers, absent from
+	// Status.LastApplied. Zero means nothing is pending.
+	unsynced uint64
+
+	// The rest tallies the way from the handshake to the head the primary
+	// advertised in it, for the one log line that closes a catch-up.
+	target               uint64 // 0 once reached, or when there was nothing to catch up
+	start                time.Time
+	frames, bytes, syncs int
+}
+
+// stream applies messages until the session breaks. Frames are applied as
+// they arrive but reported in batches: whenever the read buffer has been
+// drained of whole messages — the next read would wait for the network —
+// the batch is made durable with one WaitDurable and only then published
+// as LastApplied. The boundary is the socket running dry, not a size or
+// a timer: a live trickle is batches of one, log catch-up is a buffer's
+// worth (hundreds) of frames per fsync. Whatever ends the session, the
+// applied prefix is settled the same way before stream returns, so Close
+// (and Promote behind it) never leaves a visible-but-unreported tail.
+func (f *Follower) stream(conn net.Conn, br *bufio.Reader, head uint64) (err error) {
+	p := progress{start: time.Now()}
+	if head > f.s.CommitSeq() {
+		p.target = head
+	}
+	defer func() {
+		if serr := f.settle(&p); serr != nil {
+			err = serr // the local log failed: that outranks a torn feed
+		}
+	}()
 	for {
+		// Checked for every message type: a frame followed by a heartbeat
+		// in the same buffer must not stay unreported until the next read.
+		if !msgBuffered(br) {
+			if err := f.settle(&p); err != nil {
+				return err
+			}
+		}
 		conn.SetReadDeadline(time.Now().Add(f.opts.ReadTimeout))
 		typ, payload, err := readMsg(br)
 		if err != nil {
-			return true, err
+			return err
 		}
 		switch typ {
 		case msgFrame:
 			seq, err := f.s.ApplyReplicated(payload)
 			if err != nil {
-				return true, f.applyError(err)
+				return f.applyError(err)
 			}
-			f.setStatus(func(st *Status) {
-				st.LastApplied = seq
-				if seq > st.PrimarySeq {
-					st.PrimarySeq = seq
-				}
-				st.LastContact = time.Now()
-			})
+			p.unsynced = seq
+			p.frames++
+			p.bytes += len(payload)
 		case msgHeartbeat:
 			if len(payload) != 8 {
-				return true, fmt.Errorf("repl: malformed heartbeat")
+				return fmt.Errorf("repl: malformed heartbeat")
 			}
 			head := leU64(payload)
 			f.setStatus(func(st *Status) {
@@ -373,14 +412,58 @@ func (f *Follower) session() (handshook bool, err error) {
 			})
 		case msgSnapBegin:
 			if len(payload) != 8 {
-				return true, fmt.Errorf("repl: malformed snapshot begin")
+				return fmt.Errorf("repl: malformed snapshot begin")
 			}
-			if err := f.receiveSnapshot(conn, br, leU64(payload)); err != nil {
-				return true, err
+			// Frames shipped ahead of a snapshot fallback: settle them so
+			// no batch is pending across the reset of the local log.
+			if err := f.settle(&p); err != nil {
+				return err
+			}
+			if err := f.receiveSnapshot(conn, br, leU64(payload), &p); err != nil {
+				return err
 			}
 		default:
-			return true, fmt.Errorf("repl: unexpected message type %q", typ)
+			return fmt.Errorf("repl: unexpected message type %q", typ)
 		}
+	}
+}
+
+// settle makes the pending batch durable, then reports it: LastApplied,
+// /api/replication lag, WaitForSeq and Promote never name a seq that is
+// not on this node's stable storage. A failed local fsync is sticky — the
+// WAL fails closed and the store degrades — so it stops replication for
+// good, like an apply refused with ErrDegraded.
+func (f *Follower) settle(p *progress) error {
+	seq := p.unsynced
+	if seq == 0 {
+		return nil
+	}
+	p.unsynced = 0
+	if err := f.s.WaitDurable(seq); err != nil {
+		f.setStatus(func(st *Status) { st.Degraded = !errors.Is(err, store.ErrClosed) })
+		f.logf("repl: applied frames up to seq %d cannot be made durable: %v", seq, err)
+		return errReplStopped
+	}
+	p.syncs++
+	f.reportApplied(seq, p)
+	return nil
+}
+
+// reportApplied publishes seq — durable by now — as the follower's
+// position and logs the catch-up, once, when that position first reaches
+// the head the primary advertised at the handshake.
+func (f *Follower) reportApplied(seq uint64, p *progress) {
+	f.setStatus(func(st *Status) {
+		st.LastApplied = seq
+		if seq > st.PrimarySeq {
+			st.PrimarySeq = seq
+		}
+		st.LastContact = time.Now()
+	})
+	if p.target != 0 && seq >= p.target {
+		p.target = 0
+		f.logf("repl: caught up to seq %d: %d frames, %d bytes, %d sync batches in %s",
+			seq, p.frames, p.bytes, p.syncs, time.Since(p.start).Round(time.Millisecond))
 	}
 }
 
@@ -407,7 +490,7 @@ func (f *Follower) applyError(err error) error {
 // receiveSnapshot streams snapshot chunks into ResetFromSnapshot. The
 // decode runs concurrently off an io.Pipe so the whole snapshot is never
 // buffered in memory.
-func (f *Follower) receiveSnapshot(conn net.Conn, br *bufio.Reader, seq uint64) error {
+func (f *Follower) receiveSnapshot(conn net.Conn, br *bufio.Reader, seq uint64, p *progress) error {
 	pr, pw := io.Pipe()
 	type result struct {
 		seq uint64
@@ -432,6 +515,7 @@ func (f *Follower) receiveSnapshot(conn net.Conn, br *bufio.Reader, seq uint64) 
 		}
 		switch typ {
 		case msgSnapChunk:
+			p.bytes += len(payload)
 			if _, err := pw.Write(payload); err != nil {
 				streamErr = err
 			}
@@ -447,13 +531,7 @@ func (f *Follower) receiveSnapshot(conn net.Conn, br *bufio.Reader, seq uint64) 
 				return fmt.Errorf("repl: snapshot seq mismatch: header %d, payload %d", seq, res.seq)
 			}
 			f.resync.Store(false)
-			f.setStatus(func(st *Status) {
-				st.LastApplied = res.seq
-				if res.seq > st.PrimarySeq {
-					st.PrimarySeq = res.seq
-				}
-				st.LastContact = time.Now()
-			})
+			f.reportApplied(res.seq, p) // ResetFromSnapshot persisted it
 			return nil
 		case msgHeartbeat:
 			// Tolerated mid-snapshot even though the current primary never

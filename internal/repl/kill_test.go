@@ -17,9 +17,9 @@ import (
 
 // TestKillNineFollowerConvergence proves the replication acceptance
 // property end to end with a real process boundary: a follower process
-// replicates from an in-parent primary, acknowledging each applied seq on
-// stdout only after ApplyReplicated returned (SyncAlways: the frame is in
-// its local WAL). The parent SIGKILLs it mid-stream — twice:
+// replicates from an in-parent primary, acknowledging on stdout each
+// LastApplied it reports (which the follower publishes only once the seq
+// is fsynced in its local WAL). The parent SIGKILLs it mid-stream — twice:
 //
 //  1. While the primary's WAL still holds everything, so the restarted
 //     follower catches up via log offset.
@@ -182,7 +182,7 @@ func (c *killChild) kill(t *testing.T) {
 
 // killNineFollowerChild is the victim: it opens the durable follower
 // store named by BFREPL_DIR, follows BFREPL_ADDR, and prints "applied N"
-// after each seq is applied (and, under SyncAlways, durable), until the
+// for each position the follower reports (applied and durable), until the
 // parent kills it.
 func killNineFollowerChild() {
 	dir := os.Getenv("BFREPL_DIR")

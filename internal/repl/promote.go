@@ -10,18 +10,19 @@ type Promotion struct {
 	// Epoch is the new replication epoch — strictly greater than both the
 	// follower's own and the last epoch its primary advertised.
 	Epoch uint64 `json:"epoch"`
-	// LastApplied is the committed seq at promotion: the exact prefix of
-	// the old primary's history this node carries into the new epoch.
-	// Writes the old primary acknowledged beyond it (shipped or not) are
-	// not part of the new timeline.
+	// LastApplied is the committed seq at promotion, durable on this node:
+	// the exact prefix of the old primary's history it carries into the
+	// new epoch. Writes the old primary acknowledged beyond it (shipped or
+	// not) are not part of the new timeline.
 	LastApplied uint64 `json:"lastApplied"`
 }
 
 // Promote turns this follower into a primary, fenced against its old
 // timeline. In order: replication is stopped (Close — no frame can land
-// mid-promotion), the epoch is durably advanced past both the local one
-// and the last epoch the primary advertised, and only then is the write
-// gate opened (SetReplica(false)). The ordering is the guarantee: a
+// mid-promotion), everything applied is made durable, the epoch is
+// durably advanced past both the local one and the last epoch the
+// primary advertised, and only then is the write gate opened
+// (SetReplica(false)). The ordering is the guarantee: a
 // crash anywhere in between recovers either as a replica at the old
 // epoch or as a not-yet-writable node at the new one — never as a
 // writable primary holding a stale fencing token, which is how
@@ -41,6 +42,13 @@ func (f *Follower) Promote() (Promotion, error) {
 		return Promotion{}, fmt.Errorf("repl: promote: store is not a replica")
 	}
 	f.Close() // idempotent; returns once the run loop has exited
+	// The new timeline starts at the store's head, so the head must be on
+	// stable storage before the epoch names it. The session settled its
+	// last batch on the way out; this covers a head that got there by any
+	// other road, and costs nothing when it is already durable.
+	if err := f.s.WaitDurable(f.s.CommitSeq()); err != nil {
+		return Promotion{}, fmt.Errorf("repl: promote: %w", err)
+	}
 	floor := f.Status().PrimaryEpoch
 	epoch, err := f.s.AdvanceEpoch(floor)
 	if err != nil {

@@ -169,6 +169,16 @@ func readMsg(r *bufio.Reader) (byte, []byte, error) {
 	return hdr[0], payload, nil
 }
 
+// msgBuffered reports whether the next message sits whole in r's buffer,
+// so that readMsg would return it without waiting for the network.
+func msgBuffered(r *bufio.Reader) bool {
+	if r.Buffered() < msgHeaderSize {
+		return false
+	}
+	hdr, _ := r.Peek(msgHeaderSize) // already buffered: cannot block or fail
+	return r.Buffered()-msgHeaderSize >= int(binary.LittleEndian.Uint32(hdr[1:5]))
+}
+
 // u64payload encodes one uint64 as a message payload.
 func u64payload(v uint64) []byte {
 	var b [8]byte

@@ -199,6 +199,13 @@ func (srv *Server) handle(conn net.Conn) {
 			return
 		}
 	case lastSeq < cut:
+		// The log is about to be read up to the cut, and under SyncAlways
+		// the newest frames in it may be installed but not yet fsynced.
+		// One barrier per handshake keeps the feed's promise here too.
+		if err := srv.s.WaitDurable(cut); err != nil {
+			srv.logf("repl: %s: offset catch-up: %v", conn.RemoteAddr(), err)
+			return
+		}
 		sent := lastSeq
 		err := srv.s.WALFrames(lastSeq+1, func(seq uint64, payload []byte) error {
 			if seq > cut {
@@ -298,6 +305,11 @@ func (srv *Server) feed(conn net.Conn, bw *bufio.Writer, sub *store.CommitSub) {
 // immutable.
 func (srv *Server) sendSnapshot(conn net.Conn, bw *bufio.Writer) error {
 	seq, write := srv.s.PinnedSnapshot()
+	// The pinned version is the current one, possibly newer than the cut
+	// and not yet fsynced: never ship state a crash here would lose.
+	if err := srv.s.WaitDurable(seq); err != nil {
+		return err
+	}
 	conn.SetWriteDeadline(time.Now().Add(30 * time.Second))
 	if err := writeMsg(bw, msgSnapBegin, u64payload(seq)); err != nil {
 		return err

@@ -134,8 +134,9 @@ func (s *Store) closeSubsLocked() {
 // stable storage (sharing the group-commit fsync), and returns the WAL's
 // sticky failure if the log has died. On a non-durable store it returns
 // immediately: there is no stronger durability to wait for. Shippers
-// call this before forwarding a frame so a follower can never hold a
-// commit the primary would lose in a crash.
+// call this before forwarding a frame, a log range or a snapshot, so a
+// follower can never hold a commit the primary would lose in a crash;
+// followers call it before reporting a replicated position.
 func (s *Store) WaitDurable(seq uint64) error {
 	if s.wal == nil {
 		return nil
@@ -230,23 +231,26 @@ func walFramesSegment(f File, from uint64, next *uint64, fn func(seq uint64, pay
 			// mean "stop", not "fail".
 			return true, nil
 		}
-		rec, err := decodeWALRecord(payload)
-		if err != nil {
+		// Routing needs only the seq. The frame CRC has vouched for the
+		// bytes, and the follower's full decode stays the corruption
+		// check (ErrCorrupt there forces a snapshot resync).
+		seq, ok := walRecordSeq(payload)
+		if !ok {
 			return true, nil
 		}
-		if rec.Seq < *next {
+		if seq < *next {
 			continue // below the requested start (or duplicate overlap)
 		}
-		if rec.Seq != *next {
+		if seq != *next {
 			// The sequence we need is not on disk anymore (truncated) or
 			// the log is not contiguous here: either way offset catch-up
 			// cannot serve it.
 			return true, ErrSeqGone
 		}
-		if err := fn(rec.Seq, payload); err != nil {
+		if err := fn(seq, payload); err != nil {
 			return true, err
 		}
-		*next = rec.Seq + 1
+		*next = seq + 1
 	}
 }
 
@@ -260,8 +264,10 @@ func walFramesSegment(f File, from uint64, next *uint64, fn func(seq uint64, pay
 // frame that does not decode, or whose apply hits an index violation
 // (divergence), fails with ErrCorrupt. On a durable store the frame is
 // appended to the local WAL before the version is published — if the
-// append fails the store degrades, exactly like a local commit, so a
-// follower never acknowledges state it cannot make durable.
+// append fails the store degrades, exactly like a local commit. The
+// fsync is the caller's: the returned seq is visible to local readers
+// but not yet stable, and one WaitDurable(seq) after a run of frames
+// covers the whole run with a single group fsync.
 func (s *Store) ApplyReplicated(payload []byte) (uint64, error) {
 	rec, err := decodeWALRecord(payload)
 	if err != nil {
@@ -350,11 +356,6 @@ func (s *Store) ApplyReplicated(payload []byte) (uint64, error) {
 	s.writeMu.Unlock()
 
 	if walAppended {
-		if s.wal.policy == SyncAlways {
-			if err := s.wal.waitSynced(rec.Seq); err != nil {
-				return rec.Seq, err
-			}
-		}
 		s.maybeTriggerSnapshot()
 	}
 	return rec.Seq, nil

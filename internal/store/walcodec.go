@@ -176,6 +176,15 @@ func (d *walDecoder) count(min int) (int, error) {
 	return int(n), nil
 }
 
+// walRecordSeq reads only the commit seq of a payload — its leading u64 —
+// for callers that route checksummed frames without replaying them.
+func walRecordSeq(payload []byte) (uint64, bool) {
+	if len(payload) < 8 {
+		return 0, false
+	}
+	return binary.LittleEndian.Uint64(payload), true
+}
+
 // decodeWALRecord parses a payload produced by encodeWALRecord.
 func decodeWALRecord(payload []byte) (walRecord, error) {
 	d := &walDecoder{b: payload}

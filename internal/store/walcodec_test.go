@@ -119,6 +119,12 @@ func TestQuickWALCodec(t *testing.T) {
 			// NaN never compares equal; everything else must round-trip.
 			return fval != fval
 		}
+		if got, ok := walRecordSeq(payload); !ok || got != seq {
+			return false // the seq-only peek must agree with the full decode
+		}
+		if _, ok := walRecordSeq(payload[:7]); ok {
+			return false
+		}
 		if n := int(cut) % len(payload); n > 0 {
 			if _, err := decodeWALRecord(payload[:len(payload)-n]); err == nil {
 				return false // truncated payload must not decode

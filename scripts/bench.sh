@@ -3,6 +3,12 @@
 # BENCH_baseline.json, the committed performance baseline that future PRs
 # diff against.
 #
+# `-bench=.` over ./... picks up every benchmark in the module: the
+# paper-shaped suite at the root (T1, F2–F16, SFT, SAU, D1–D3, Q1–Q5,
+# ablations), the store's read-path and WAL microbenchmarks, and
+# internal/repl's BenchmarkR1_FollowerCatchUp (follower log catch-up:
+# frames/s and fsyncs/frame).
+#
 # Usage:
 #   scripts/bench.sh                 # default -benchtime (0.2s)
 #   BENCHTIME=1s scripts/bench.sh    # longer, steadier numbers
@@ -26,13 +32,16 @@ fi
 
 go test -bench=. -benchmem -run='^$' -benchtime="$BENCHTIME" -timeout 60m ./... | tee "$RAW"
 
-awk -v benchtime="$BENCHTIME" \
+# Names are recorded bare: go test's -GOMAXPROCS suffix (absent when it
+# is 1) is stripped so baselines from different machines share keys.
+awk -v benchtime="$BENCHTIME" -v procs="${GOMAXPROCS:-$(nproc)}" \
     -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
     -v goversion="$(go version | cut -d' ' -f3)" '
 /^pkg: / { pkg = $2 }
 /^cpu: / { sub(/^cpu: /, ""); cpu = $0 }
 /^Benchmark/ {
     name = $1
+    if (procs != 1) sub("-" procs "$", "", name)
     iters = $2
     metrics = ""
     for (i = 3; i + 1 <= NF; i += 2) {

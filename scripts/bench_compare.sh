@@ -28,8 +28,12 @@ fi
 CUR="$(mktemp)"
 trap 'rm -f "$CUR"' EXIT
 
+# go test appends -GOMAXPROCS to every name unless it is 1; the baseline
+# carries bare names, so strip exactly that suffix before matching.
+PROCS="${GOMAXPROCS:-$(nproc)}"
+
 go test -bench="$BENCH" -benchmem -run='^$' -benchtime="$BENCHTIME" -timeout 60m ./... \
-    | awk '/^Benchmark/ { print $1, $3 }' > "$CUR"
+    | awk -v procs="$PROCS" '/^Benchmark/ { if (procs != 1) sub("-" procs "$", "", $1); print $1, $3 }' > "$CUR"
 
 awk -v threshold="$THRESHOLD" -v curfile="$CUR" -v bench="$BENCH" '
 # Pass 1: current run ("name ns_op" pairs).
