@@ -8,7 +8,8 @@ test:
 
 # The tier-1 gate: everything CI (and the next PR) must keep green. The
 # -race pass covers the store's MVCC contract (snapshot readers, conflict
-# detection, barrier) and the query engine's iterators under writer load —
+# detection, barrier), the query engine's iterators under writer load, and
+# the entity/vocab read-then-write loops that drain a Rows before writing —
 # the tests most likely to catch a concurrency regression early. gofmt
 # keeps the tree formatting-clean.
 verify:
@@ -17,7 +18,7 @@ verify:
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
 		echo "gofmt: needs formatting:"; echo "$$unformatted"; exit 1; fi
 	go test ./...
-	go test -race ./internal/store ./internal/portal ./internal/repl
+	go test -race ./internal/store ./internal/portal ./internal/repl ./internal/entity ./internal/vocab
 	$(MAKE) bench-http-smoke
 
 # The full randomized crash-point campaign: injects a fault at EVERY
@@ -34,7 +35,7 @@ test-faults:
 
 # The replication chaos campaign, exhaustive: every fault point on the
 # follower replay path (BFABRIC_FAULTS=full), the kill -9 follower
-# convergence test, the ScanRange pagination stress on a live follower,
+# convergence test, the Query{Cursor} pagination stress on a live follower,
 # the follower durability contract (group-sync fsync counts, power-cut
 # recovery of every reported lastApplied, durable-only shipping), and
 # the online-backup round trips — all under the race detector. The

@@ -44,7 +44,11 @@ func BenchmarkAblationIndexedLookup(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					err := s.View(func(tx *store.Tx) error {
-						ids, err := tx.Lookup("t", "grp", "g42")
+						rs, err := tx.Query(store.Query{Table: "t", Where: []store.Pred{store.Eq("grp", "g42")}})
+						if err != nil {
+							return err
+						}
+						ids, err := rs.IDs()
 						if err != nil {
 							return err
 						}

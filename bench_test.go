@@ -788,6 +788,20 @@ func queryBenchSystem(b *testing.B) *core.System {
 	return queryBenchSys
 }
 
+// scanAll visits every row of the table through the planner's scan path
+// (no predicate): the unindexed baseline the Q benchmarks' "full-scan"
+// rows price the planned paths against.
+func scanAll(tx *store.Tx, table string, fn func(store.Record)) error {
+	rows, err := tx.Query(store.Query{Table: table})
+	if err != nil {
+		return err
+	}
+	for rows.Next() {
+		fn(rows.Record())
+	}
+	return rows.Err()
+}
+
 // BenchmarkQ1_PointLookup is the cheapest planned query: a unique-index
 // point lookup (user by login) through the full plan-and-execute path.
 func BenchmarkQ1_PointLookup(b *testing.B) {
@@ -827,11 +841,10 @@ func BenchmarkQ2_IndexedMultiPredicate(b *testing.B) {
 	var expect int
 	err := sys.View(func(tx *store.Tx) error {
 		perProject := map[int64]int{}
-		if err := tx.ScanRef(model.KindSample, func(r store.Record) bool {
+		if err := scanAll(tx, model.KindSample, func(r store.Record) {
 			if r.String("species") == species {
 				perProject[r.Int("project")]++
 			}
-			return true
 		}); err != nil {
 			return err
 		}
@@ -890,11 +903,10 @@ func BenchmarkQ2_IndexedMultiPredicate(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			err := sys.View(func(tx *store.Tx) error {
 				n := 0
-				if err := tx.ScanRef(model.KindSample, func(r store.Record) bool {
+				if err := scanAll(tx, model.KindSample, func(r store.Record) {
 					if r.Int("project") == project && r.String("species") == species {
 						n++
 					}
-					return true
 				}); err != nil {
 					return err
 				}
@@ -1002,11 +1014,10 @@ func BenchmarkQ4_AggCount(b *testing.B) {
 	q := store.Query{Table: model.KindSample, Where: []store.Pred{store.Eq("species", species)}}
 	var expect int
 	err := sys.View(func(tx *store.Tx) error {
-		if err := tx.ScanRef(model.KindSample, func(r store.Record) bool {
+		if err := scanAll(tx, model.KindSample, func(r store.Record) {
 			if r.String("species") == species {
 				expect++
 			}
-			return true
 		}); err != nil {
 			return err
 		}
@@ -1047,11 +1058,10 @@ func BenchmarkQ4_AggCount(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			err := sys.View(func(tx *store.Tx) error {
 				n := 0
-				if err := tx.ScanRef(model.KindSample, func(r store.Record) bool {
+				if err := scanAll(tx, model.KindSample, func(r store.Record) {
 					if r.String("species") == species {
 						n++
 					}
-					return true
 				}); err != nil {
 					return err
 				}
@@ -1077,11 +1087,10 @@ func BenchmarkQ5_GroupBy(b *testing.B) {
 	aq := store.Query{Table: model.KindSample}.GroupBy("species")
 	want := map[string]int{}
 	err := sys.View(func(tx *store.Tx) error {
-		if err := tx.ScanRef(model.KindSample, func(r store.Record) bool {
+		if err := scanAll(tx, model.KindSample, func(r store.Record) {
 			if s := r.String("species"); s != "" {
 				want[s]++
 			}
-			return true
 		}); err != nil {
 			return err
 		}
@@ -1127,11 +1136,10 @@ func BenchmarkQ5_GroupBy(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			err := sys.View(func(tx *store.Tx) error {
 				got := map[string]int{}
-				if err := tx.ScanRef(model.KindSample, func(r store.Record) bool {
+				if err := scanAll(tx, model.KindSample, func(r store.Record) {
 					if s := r.String("species"); s != "" {
 						got[s]++
 					}
-					return true
 				}); err != nil {
 					return err
 				}
@@ -1179,14 +1187,16 @@ func BenchmarkD3_ReadUnderWriteLoad(b *testing.B) {
 	}
 	readPage := func(sys *core.System, from int64) error {
 		return sys.View(func(tx *store.Tx) error {
-			n := 0
-			if err := tx.ScanRangeRef(model.KindSample, from, 0, func(r store.Record) bool {
-				n++
-				return n < page
-			}); err != nil {
+			rs, err := tx.Query(store.Query{Table: model.KindSample, Cursor: from - 1, Limit: page})
+			if err != nil {
 				return err
 			}
-			_, err := tx.GetRef(model.KindSample, from%rows+1)
+			for rs.Next() {
+			}
+			if err := rs.Err(); err != nil {
+				return err
+			}
+			_, err = tx.GetRef(model.KindSample, from%rows+1)
 			return err
 		})
 	}

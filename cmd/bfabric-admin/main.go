@@ -489,17 +489,20 @@ func cmdList(args []string) error {
 	if err != nil {
 		return err
 	}
-	n := 0
 	return sys.View(func(tx *store.Tx) error {
-		return tx.Scan(*kind, func(r store.Record) bool {
+		rows, err := tx.Query(store.Query{Table: *kind, Limit: *limit})
+		if err != nil {
+			return err
+		}
+		for rows.Next() {
+			r := rows.Record()
 			name := r.String("name")
 			if name == "" {
 				name = r.String("value")
 			}
 			fmt.Printf("%6d  %s\n", r.ID(), name)
-			n++
-			return n < *limit
-		})
+		}
+		return rows.Err()
 	})
 }
 
@@ -628,10 +631,12 @@ func cmdExport(args []string) error {
 	}
 	var ids []int64
 	if err := sys.View(func(tx *store.Tx) error {
-		return tx.Scan(*kind, func(r store.Record) bool {
-			ids = append(ids, r.ID())
-			return len(ids) < *limit
-		})
+		rows, err := tx.Query(store.Query{Table: *kind, Limit: *limit})
+		if err != nil {
+			return err
+		}
+		ids, err = rows.IDs()
+		return err
 	}); err != nil {
 		return err
 	}

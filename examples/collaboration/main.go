@@ -112,12 +112,12 @@ func main() {
 
 	// The report is readable and searchable on instance B.
 	must(b.View(func(tx *store.Tx) error {
-		wus, err := tx.Find(model.KindWorkunit, "project", res.Project)
+		wus, err := b.DB.WorkunitsOfProject(tx, res.Project, "")
 		if err != nil {
 			return err
 		}
 		for _, w := range wus {
-			rs, err := b.DB.ResourcesOfWorkunit(tx, w.ID())
+			rs, err := b.DB.ResourcesOfWorkunit(tx, w.ID)
 			if err != nil {
 				return err
 			}

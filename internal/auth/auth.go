@@ -98,7 +98,11 @@ func (sv *Service) SetPassword(tx *store.Tx, login, password string) error {
 		"salt":  salt,
 		"hash":  hashPassword(password, salt),
 	}
-	ids, err := tx.Lookup(credTable, "login", login)
+	rows, err := tx.Query(store.Query{Table: credTable, Where: []store.Pred{store.Eq("login", login)}})
+	if err != nil {
+		return err
+	}
+	ids, err := rows.IDs() // drained before the Put below writes the same table
 	if err != nil {
 		return err
 	}
@@ -112,13 +116,17 @@ func (sv *Service) SetPassword(tx *store.Tx, login, password string) error {
 // verify checks a password against the stored credential. The credential
 // record is read by reference; only its string values are extracted.
 func (sv *Service) verify(tx *store.Tx, login, password string) error {
-	r, err := tx.FirstRef(credTable, "login", login)
+	rows, err := tx.Query(store.Query{Table: credTable, Where: []store.Pred{store.Eq("login", login)}, Limit: 1})
 	if err != nil {
-		if errors.Is(err, store.ErrNotFound) {
-			return ErrBadCredentials
-		}
 		return err
 	}
+	if !rows.Next() {
+		if err := rows.Err(); err != nil {
+			return err
+		}
+		return ErrBadCredentials
+	}
+	r := rows.Record()
 	want := r.String("hash")
 	got := hashPassword(password, r.String("salt"))
 	if subtle.ConstantTimeCompare([]byte(want), []byte(got)) != 1 {

@@ -217,8 +217,14 @@ func TestCoachHasAccess(t *testing.T) {
 func TestDistinctSaltsPerUser(t *testing.T) {
 	fx := newFixture(t)
 	_ = fx.s.View(func(tx *store.Tx) error {
-		a, _ := tx.First(credTable, "login", "alice")
-		b, _ := tx.First(credTable, "login", "eva")
+		cred := func(login string) store.Record {
+			rows, err := tx.Query(store.Query{Table: credTable, Where: []store.Pred{store.Eq("login", login)}})
+			if err != nil || !rows.Next() {
+				t.Fatalf("credential of %s: %v", login, err)
+			}
+			return rows.Record()
+		}
+		a, b := cred("alice"), cred("eva")
 		if a.String("salt") == b.String("salt") {
 			t.Error("salts identical")
 		}

@@ -338,17 +338,10 @@ func parseLinkKey(key string) (kind string, id int64, ok bool) {
 // syncLinks rewrites the outgoing link records of entity (kind,id) to match
 // its current reference fields.
 func (rg *Registry) syncLinks(tx *store.Tx, k *Kind, id int64, values store.Record) error {
-	from := linkKey(k.Name, id)
-	// Drop existing outgoing links.
-	existing, err := tx.Lookup(linksTable, "from", from)
-	if err != nil {
+	if err := rg.dropLinks(tx, k.Name, id); err != nil {
 		return err
 	}
-	for _, lid := range existing {
-		if err := tx.Delete(linksTable, lid); err != nil {
-			return err
-		}
-	}
+	from := linkKey(k.Name, id)
 	// Recreate from the current state.
 	for i := range k.Fields {
 		f := &k.Fields[i]
@@ -377,10 +370,15 @@ func (rg *Registry) syncLinks(tx *store.Tx, k *Kind, id int64, values store.Reco
 	return nil
 }
 
-// dropLinks removes all outgoing link records of entity (kind,id).
+// dropLinks removes all outgoing link records of entity (kind,id). The ids
+// are drained before the first Delete: a Rows must not be open over a table
+// the same transaction writes.
 func (rg *Registry) dropLinks(tx *store.Tx, kind string, id int64) error {
-	from := linkKey(kind, id)
-	ids, err := tx.Lookup(linksTable, "from", from)
+	rows, err := tx.Query(store.Query{Table: linksTable, Where: []store.Pred{store.Eq("from", linkKey(kind, id))}})
+	if err != nil {
+		return err
+	}
+	ids, err := rows.IDs()
 	if err != nil {
 		return err
 	}
@@ -515,14 +513,15 @@ func (rg *Registry) Delete(tx *store.Tx, kind string, id int64, actor string) er
 	if !tx.Exists(kind, id) {
 		return fmt.Errorf("entity: %s/%d: %w", kind, id, store.ErrNotFound)
 	}
-	to := linkKey(kind, id)
-	inbound, err := tx.Lookup(linksTable, "to", to)
+	inbound, err := tx.Query(store.Query{Table: linksTable, Where: []store.Pred{store.Eq("to", linkKey(kind, id))}, Limit: 1})
 	if err != nil {
 		return err
 	}
-	if len(inbound) > 0 {
-		l, _ := tx.GetRef(linksTable, inbound[0])
-		return fmt.Errorf("entity: %s/%d referenced by %s: %w", kind, id, l.String("from"), ErrReferenced)
+	if inbound.Next() {
+		return fmt.Errorf("entity: %s/%d referenced by %s: %w", kind, id, inbound.Record().String("from"), ErrReferenced)
+	}
+	if err := inbound.Err(); err != nil {
+		return err
 	}
 	if err := rg.dropLinks(tx, kind, id); err != nil {
 		return err

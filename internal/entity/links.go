@@ -31,19 +31,15 @@ func (rg *Registry) Incoming(tx *store.Tx, kind string, id int64) ([]LinkEdge, e
 }
 
 func (rg *Registry) edges(tx *store.Tx, side, kind string, id int64) ([]LinkEdge, error) {
-	key := linkKey(kind, id)
-	ids, err := tx.Lookup(linksTable, side, key)
+	rows, err := tx.Query(store.Query{Table: linksTable, Where: []store.Pred{store.Eq(side, linkKey(kind, id))}})
 	if err != nil {
 		return nil, err
 	}
-	out := make([]LinkEdge, 0, len(ids))
-	for _, lid := range ids {
+	out := []LinkEdge{} // non-nil: the portal encodes it as [] rather than null
+	for rows.Next() {
 		// Zero-copy read: the edge struct is built from extracted values, so
 		// the shared record is never retained or mutated.
-		l, err := tx.GetRef(linksTable, lid)
-		if err != nil {
-			return nil, err
-		}
+		l := rows.Record()
 		fk, fid, ok1 := parseLinkKey(l.String("from"))
 		tk, tid, ok2 := parseLinkKey(l.String("to"))
 		if !ok1 || !ok2 {
@@ -53,6 +49,9 @@ func (rg *Registry) edges(tx *store.Tx, side, kind string, id int64) ([]LinkEdge
 			FromKind: fk, FromID: fid, Field: l.String("field"),
 			ToKind: tk, ToID: tid,
 		})
+	}
+	if err := rows.Err(); err != nil {
+		return nil, err
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]

@@ -80,7 +80,7 @@ func TestQuickLinkGraphConsistency(t *testing.T) {
 		// every outgoing edge appears in the target's Incoming.
 		ok := true
 		_ = rg.Store().View(func(tx *store.Tx) error {
-			return tx.Scan("node", func(r store.Record) bool {
+			return scanAll(tx, "node", func(r store.Record) bool {
 				want := map[string]int{}
 				if p := r.Int("parent"); p != 0 {
 					want[fmt.Sprintf("parent->%d", p)]++
@@ -134,4 +134,15 @@ func TestQuickLinkGraphConsistency(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
 	}
+}
+
+// scanAll visits the table's rows in id order until fn returns false.
+func scanAll(tx *store.Tx, table string, fn func(store.Record) bool) error {
+	rows, err := tx.Query(store.Query{Table: table})
+	if err != nil {
+		return err
+	}
+	for rows.Next() && fn(rows.Record()) {
+	}
+	return rows.Err()
 }

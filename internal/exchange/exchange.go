@@ -75,15 +75,11 @@ func Export(sys *core.System, projectID int64, w io.Writer) error {
 			}
 			m.Extracts = append(m.Extracts, es...)
 		}
-		wus, err := tx.Find(model.KindWorkunit, "project", projectID)
+		wus, err := sys.DB.WorkunitsOfProject(tx, projectID, "")
 		if err != nil {
 			return err
 		}
-		for _, r := range wus {
-			wu, err := sys.DB.GetWorkunit(tx, r.ID())
-			if err != nil {
-				return err
-			}
+		for _, wu := range wus {
 			m.Workunits = append(m.Workunits, wu)
 			rs, err := sys.DB.ResourcesOfWorkunit(tx, wu.ID)
 			if err != nil {
@@ -99,16 +95,19 @@ func Export(sys *core.System, projectID int64, w io.Writer) error {
 				}
 			}
 		}
-		exps, err := tx.Find(model.KindExperiment, "project", projectID)
+		exps, err := tx.Query(store.Query{Table: model.KindExperiment, Where: []store.Pred{store.Eq("project", projectID)}})
 		if err != nil {
 			return err
 		}
-		for _, r := range exps {
-			exp, err := sys.DB.GetExperiment(tx, r.ID())
+		for exps.Next() {
+			exp, err := sys.DB.GetExperiment(tx, exps.ID())
 			if err != nil {
 				return err
 			}
 			m.Experiments = append(m.Experiments, exp)
+		}
+		if err := exps.Err(); err != nil {
+			return err
 		}
 		// Vocabulary terms actually used by the exported annotations.
 		seen := make(map[string]bool)

@@ -150,13 +150,13 @@ func TestExportImportRoundTrip(t *testing.T) {
 			t.Errorf("extracts = %+v", extracts)
 		}
 		// Every resource's workunit/extract references resolve.
-		wus, err := tx.Find(model.KindWorkunit, "project", res.Project)
+		wus, err := dst.DB.WorkunitsOfProject(tx, res.Project, "")
 		if err != nil {
 			return err
 		}
 		reportSeen := false
 		for _, w := range wus {
-			rs, err := dst.DB.ResourcesOfWorkunit(tx, w.ID())
+			rs, err := dst.DB.ResourcesOfWorkunit(tx, w.ID)
 			if err != nil {
 				return err
 			}

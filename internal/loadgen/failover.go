@@ -151,10 +151,14 @@ func RunFailover(cfg Config) (*Report, error) {
 	// must exist on the promoted store.
 	names := make(map[string]bool)
 	if err := fsys.View(func(tx *store.Tx) error {
-		return tx.Scan(model.KindSample, func(r store.Record) bool {
-			names[r.String("name")] = true
-			return true
-		})
+		rows, err := tx.Query(store.Query{Table: model.KindSample})
+		if err != nil {
+			return err
+		}
+		for rows.Next() {
+			names[rows.Record().String("name")] = true
+		}
+		return rows.Err()
 	}); err != nil {
 		return nil, err
 	}

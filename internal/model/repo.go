@@ -33,6 +33,16 @@ func listQuery[T any](tx *store.Tx, q store.Query, conv func(store.Record) T) ([
 	return out, rows.Err()
 }
 
+// idsInProject returns the ids of the kind's records that belong to the
+// project, in id order — the foreign-key batch of a two-step listing.
+func idsInProject(tx *store.Tx, kind string, project int64) ([]int64, error) {
+	rows, err := tx.Query(store.Query{Table: kind, Where: []store.Pred{store.Eq("project", project)}})
+	if err != nil {
+		return nil, err
+	}
+	return rows.IDs()
+}
+
 // NewDB wraps an entity registry whose schema has been registered with
 // RegisterSchema.
 func NewDB(rg *entity.Registry) *DB { return &DB{rg: rg} }
@@ -100,11 +110,14 @@ func (db *DB) GetUser(tx *store.Tx, id int64) (User, error) {
 
 // UserByLogin fetches a user by login name.
 func (db *DB) UserByLogin(tx *store.Tx, login string) (User, error) {
-	r, err := tx.FirstRef(KindUser, "login", login)
+	us, err := listQuery(tx, store.Query{Table: KindUser, Where: []store.Pred{store.Eq("login", login)}, Limit: 1}, userFromRecord)
 	if err != nil {
 		return User{}, err
 	}
-	return userFromRecord(r), nil
+	if len(us) == 0 {
+		return User{}, fmt.Errorf("model: user %q: %w", login, store.ErrNotFound)
+	}
+	return us[0], nil
 }
 
 // UsersByRole returns all users holding the given role, in id order.
@@ -293,18 +306,8 @@ func (db *DB) ExtractsOfSample(tx *store.Tx, sample int64) ([]Extract, error) {
 // per-sample query loop: one planned union instead of N point listings,
 // and the result comes back in a single global id order.
 func (db *DB) ExtractsOfProject(tx *store.Tx, project int64) ([]Extract, error) {
-	sampleRows, err := tx.Query(store.Query{
-		Table: KindSample,
-		Where: []store.Pred{store.Eq("project", project)},
-	})
+	sampleIDs, err := idsInProject(tx, KindSample, project)
 	if err != nil {
-		return nil, err
-	}
-	var sampleIDs []int64
-	for sampleRows.Next() {
-		sampleIDs = append(sampleIDs, sampleRows.ID())
-	}
-	if err := sampleRows.Err(); err != nil {
 		return nil, err
 	}
 	return listQuery(tx, store.Query{
@@ -452,11 +455,14 @@ func (db *DB) GetApplication(tx *store.Tx, id int64) (Application, error) {
 
 // ApplicationByName fetches an application by its unique name.
 func (db *DB) ApplicationByName(tx *store.Tx, name string) (Application, error) {
-	r, err := tx.FirstRef(KindApplication, "name", name)
+	as, err := listQuery(tx, store.Query{Table: KindApplication, Where: []store.Pred{store.Eq("name", name)}, Limit: 1}, applicationFromRecord)
 	if err != nil {
 		return Application{}, err
 	}
-	return applicationFromRecord(r), nil
+	if len(as) == 0 {
+		return Application{}, fmt.Errorf("model: application %q: %w", name, store.ErrNotFound)
+	}
+	return as[0], nil
 }
 
 // CreateExperiment registers an experiment definition (Figure 13).
@@ -566,7 +572,7 @@ func (db *DB) ProjectStats(tx *store.Tx, project int64) (ProjectStats, error) {
 	if ps.Workunits, err = tx.QueryCount(byProject(KindWorkunit)); err != nil {
 		return ps, err
 	}
-	sids, err := tx.Lookup(KindSample, "project", project)
+	sids, err := idsInProject(tx, KindSample, project)
 	if err != nil {
 		return ps, err
 	}
@@ -575,7 +581,7 @@ func (db *DB) ProjectStats(tx *store.Tx, project int64) (ProjectStats, error) {
 	}); err != nil {
 		return ps, err
 	}
-	wids, err := tx.Lookup(KindWorkunit, "project", project)
+	wids, err := idsInProject(tx, KindWorkunit, project)
 	if err != nil {
 		return ps, err
 	}

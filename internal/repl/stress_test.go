@@ -97,16 +97,20 @@ func TestFollowerScanPaginationStress(t *testing.T) {
 						lastSnap = snap
 						pageGen := int64(-1)
 						n := 0
-						if err := tx.ScanRange("acct", from, to, func(rec store.Record) bool {
+						rows, err := tx.Query(store.Query{Table: "acct", Cursor: from - 1, Limit: int(to - from + 1)})
+						if err != nil {
+							return err
+						}
+						for pageGen != -2 && rows.Next() {
 							n++
-							g := rec.Int("gen")
+							g := rows.Record().Int("gen")
 							if pageGen == -1 {
 								pageGen = g
 							} else if g != pageGen {
 								pageGen = -2
 							}
-							return pageGen != -2
-						}); err != nil {
+						}
+						if err := rows.Err(); err != nil {
 							return err
 						}
 						if pageGen == -2 {

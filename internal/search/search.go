@@ -152,10 +152,14 @@ func (s *Service) ReindexAll() {
 			continue
 		}
 		_ = st.View(func(tx *store.Tx) error {
-			return tx.ScanRef(kind, func(r store.Record) bool {
-				keys = append(keys, docKey(kind, r.ID()))
-				return true
-			})
+			rows, err := tx.Query(store.Query{Table: kind})
+			if err != nil {
+				return err
+			}
+			for rows.Next() {
+				keys = append(keys, docKey(kind, rows.ID()))
+			}
+			return rows.Err()
 		})
 	}
 	s.mu.Lock()
@@ -534,18 +538,19 @@ func (s *Service) SaveQuery(tx *store.Tx, owner, name, query string) (int64, err
 
 // SavedQueries lists the owner's saved queries in id order.
 func (s *Service) SavedQueries(tx *store.Tx, owner string) ([]SavedQuery, error) {
-	rs, err := tx.FindRef(savedTable, "owner", owner)
+	rows, err := tx.Query(store.Query{Table: savedTable, Where: []store.Pred{store.Eq("owner", owner)}})
 	if err != nil {
 		return nil, err
 	}
-	out := make([]SavedQuery, 0, len(rs))
-	for _, r := range rs {
+	out := []SavedQuery{} // non-nil: encoded as [] when empty
+	for rows.Next() {
+		r := rows.Record()
 		out = append(out, SavedQuery{
 			ID: r.ID(), Name: r.String("name"),
 			Owner: r.String("owner"), Query: r.String("query"),
 		})
 	}
-	return out, nil
+	return out, rows.Err()
 }
 
 // RunSaved executes a saved query by id. Per the paper, the invocation

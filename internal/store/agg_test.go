@@ -12,35 +12,23 @@ import (
 )
 
 // scanFoldCount is the hand-rolled baseline every counting strategy must
-// reproduce: full ordered scan plus Go-side predicate filtering.
+// reproduce: the naive GetRef walk plus Go-side predicate filtering.
 func scanFoldCount(t *testing.T, tx *Tx, table string, keep func(Record) bool) int {
 	t.Helper()
-	n := 0
-	if err := tx.ScanRef(table, func(r Record) bool {
-		if keep(r) {
-			n++
-		}
-		return true
-	}); err != nil {
-		t.Fatalf("ScanRef: %v", err)
-	}
-	return n
+	return len(naiveIDs(t, tx, table, keep))
 }
 
-// scanFoldGroups is the grouped baseline: scan, bucket by the field's
+// scanFoldGroups is the grouped baseline: naive walk, bucket by the field's
 // value, drop rows without an indexable grouping value.
 func scanFoldGroups(t *testing.T, tx *Tx, table, field string, keep func(Record) bool) map[indexKey]int {
 	t.Helper()
 	out := make(map[indexKey]int)
-	if err := tx.ScanRef(table, func(r Record) bool {
+	for _, r := range naiveRows(t, tx, table) {
 		if keep == nil || keep(r) {
 			if k, ok := keyFor(r[field]); ok {
 				out[k]++
 			}
 		}
-		return true
-	}); err != nil {
-		t.Fatalf("ScanRef: %v", err)
 	}
 	return out
 }
@@ -261,11 +249,8 @@ func TestAggValueAggregates(t *testing.T) {
 		}
 		g := res.Groups[0]
 		var wantSum float64
-		if err := tx.ScanRef("sample", func(r Record) bool {
+		for _, r := range naiveRows(t, tx, "sample") {
 			wantSum += r["weight"].(float64)
-			return true
-		}); err != nil {
-			t.Fatal(err)
 		}
 		if g.Aggs[0].(int) != 300 {
 			t.Errorf("count %v, want 300", g.Aggs[0])
@@ -289,15 +274,10 @@ func TestAggValueAggregates(t *testing.T) {
 			t.Fatal(err)
 		}
 		var wantGrade int64
-		n := 0
-		if err := tx.ScanRef("sample", func(r Record) bool {
+		for _, r := range naiveRows(t, tx, "sample") {
 			if r["species"] == "human" {
 				wantGrade += r["grade"].(int64)
-				n++
 			}
-			return true
-		}); err != nil {
-			t.Fatal(err)
 		}
 		if got := res.Groups[0].Aggs[0].(int64); got != wantGrade {
 			t.Errorf("sum(grade) %v, want %v", got, wantGrade)
@@ -337,14 +317,8 @@ func TestAggOverlayVisibility(t *testing.T) {
 	defer s.Close()
 	err := s.Update(func(tx *Tx) error {
 		// Delete two humans, rewrite a mouse into a human, insert a frog.
-		humanIDs, err := tx.Lookup("sample", "species", "human")
-		if err != nil {
-			t.Fatal(err)
-		}
-		mouseIDs, err := tx.Lookup("sample", "species", "mouse")
-		if err != nil {
-			t.Fatal(err)
-		}
+		humanIDs := checkEqAgainstOracle(t, tx, "sample", "species", "human", "setup")
+		mouseIDs := checkEqAgainstOracle(t, tx, "sample", "species", "mouse", "setup")
 		for _, id := range humanIDs[:2] {
 			if err := tx.Delete("sample", id); err != nil {
 				t.Fatal(err)
@@ -471,7 +445,7 @@ func TestAggMaintainedCountersDurable(t *testing.T) {
 		}
 		// Churn: delete a few, flip a few states.
 		err = s.Update(func(tx *Tx) error {
-			ids, err := tx.Lookup("w", "state", states[rng.Intn(len(states))])
+			ids, err := lookupIDs(tx, "w", "state", states[rng.Intn(len(states))])
 			if err != nil || len(ids) < 4 {
 				return err
 			}
@@ -576,7 +550,7 @@ func TestAggMaintainedCountersReplica(t *testing.T) {
 					return err
 				}
 			}
-			ids, err := tx.Lookup("w", "state", states[rng.Intn(len(states))])
+			ids, err := lookupIDs(tx, "w", "state", states[rng.Intn(len(states))])
 			if err != nil {
 				return err
 			}
@@ -676,7 +650,7 @@ func TestAggregateUnderWriterLoad(t *testing.T) {
 				}); err != nil {
 					return err
 				}
-				ids, err := tx.Lookup("sample", "species", species[rng.Intn(len(species))])
+				ids, err := lookupIDs(tx, "sample", "species", species[rng.Intn(len(species))])
 				if err != nil {
 					return err
 				}

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"fmt"
 	"strconv"
 	"testing"
 )
@@ -56,100 +55,6 @@ func BenchmarkTxGetRef(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := tx.GetRef("t", int64(i%1024)+1); err != nil {
 				b.Fatal(err)
-			}
-		}
-		return nil
-	})
-}
-
-func benchScan(b *testing.B, n int, ref bool) {
-	s := benchStore(b, n)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		count := 0
-		err := s.View(func(tx *Tx) error {
-			fn := func(r Record) bool { count++; return true }
-			if ref {
-				return tx.ScanRef("t", fn)
-			}
-			return tx.Scan("t", fn)
-		})
-		if err != nil || count != n {
-			b.Fatalf("scan: %v, count=%d", err, count)
-		}
-	}
-	b.ReportMetric(float64(n*b.N)/b.Elapsed().Seconds(), "rows/s")
-}
-
-func BenchmarkTxScan(b *testing.B) {
-	for _, n := range []int{1000, 10000} {
-		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) { benchScan(b, n, false) })
-	}
-}
-
-func BenchmarkTxScanRef(b *testing.B) {
-	for _, n := range []int{1000, 10000} {
-		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) { benchScan(b, n, true) })
-	}
-}
-
-// BenchmarkTxScanRangePage measures one 100-row page out of a large table —
-// the paginated-browse access pattern the sorted id slice exists for.
-func BenchmarkTxScanRangePage(b *testing.B) {
-	const n, page = 10000, 100
-	s := benchStore(b, n)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		from := int64(i%(n/page))*page + 1
-		count := 0
-		err := s.View(func(tx *Tx) error {
-			return tx.ScanRangeRef("t", from, from+page-1, func(r Record) bool {
-				count++
-				return true
-			})
-		})
-		if err != nil || count != page {
-			b.Fatalf("page scan: %v, count=%d", err, count)
-		}
-	}
-}
-
-func BenchmarkTxFind(b *testing.B) {
-	s := benchStore(b, 4096)
-	b.ResetTimer()
-	_ = s.View(func(tx *Tx) error {
-		for i := 0; i < b.N; i++ {
-			rs, err := tx.Find("t", "grp", "g7")
-			if err != nil || len(rs) != 256 {
-				b.Fatalf("find: %v, n=%d", err, len(rs))
-			}
-		}
-		return nil
-	})
-}
-
-func BenchmarkTxFindRef(b *testing.B) {
-	s := benchStore(b, 4096)
-	b.ResetTimer()
-	_ = s.View(func(tx *Tx) error {
-		for i := 0; i < b.N; i++ {
-			rs, err := tx.FindRef("t", "grp", "g7")
-			if err != nil || len(rs) != 256 {
-				b.Fatalf("find: %v, n=%d", err, len(rs))
-			}
-		}
-		return nil
-	})
-}
-
-func BenchmarkTxLookup(b *testing.B) {
-	s := benchStore(b, 4096)
-	b.ResetTimer()
-	_ = s.View(func(tx *Tx) error {
-		for i := 0; i < b.N; i++ {
-			ids, err := tx.Lookup("t", "grp", "g3")
-			if err != nil || len(ids) != 256 {
-				b.Fatalf("lookup: %v, n=%d", err, len(ids))
 			}
 		}
 		return nil

@@ -40,11 +40,12 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				err := s.View(func(tx *Tx) error {
-					_, err := tx.Lookup("t", "grp", "g1")
+					_, err := lookupIDs(tx, "t", "grp", "g1")
 					if err != nil {
 						return err
 					}
-					return tx.Scan("t", func(Record) bool { return true })
+					_, err = drainIDs(tx, Query{Table: "t"})
+					return err
 				})
 				if err != nil {
 					t.Errorf("reader: %v", err)
@@ -61,7 +62,7 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 	total := 0
 	_ = s.View(func(tx *Tx) error {
 		for g := 0; g < 5; g++ {
-			ids, err := tx.Lookup("t", "grp", fmt.Sprintf("g%d", g))
+			ids, err := lookupIDs(tx, "t", "grp", fmt.Sprintf("g%d", g))
 			if err != nil {
 				return err
 			}

@@ -18,8 +18,8 @@
 //   - Readers never block and are never blocked. View and Begin(true) pin
 //     the version current at the call with one atomic load and then run
 //     lock-free to completion on that frozen state, no matter how many
-//     commits land meanwhile. A long paginated ScanRange observes exactly
-//     one version.
+//     commits land meanwhile. A long paginated Query{Cursor} walk observes
+//     exactly one version.
 //   - Update transactions serialize with each other on an internal writer
 //     mutex, exactly like the classic single-writer model, so their
 //     read-modify-write cycles need no conflict handling.
@@ -67,12 +67,11 @@
 // store deep-copies records on the way in, and committed records are never
 // mutated in place afterwards: every write replaces the whole record map
 // inside a fresh version. This immutability contract is what makes both
-// the zero-copy read path and the version machinery safe — Tx.GetRef,
-// Tx.ScanRef, Tx.FindRef and friends hand out shared references to
-// committed records that remain valid snapshots even after the
-// transaction ends, provided callers treat them as read-only. The classic
-// Get/Scan/Find API still returns deep copies for callers that mutate.
-// See DESIGN.md for the full aliasing contract.
+// the zero-copy read path and the version machinery safe — Tx.GetRef and
+// the Rows a Tx.Query returns hand out shared references to committed
+// records that remain valid snapshots even after the transaction ends,
+// provided callers treat them as read-only. Tx.Get returns a deep copy for
+// callers that mutate. See DESIGN.md for the full aliasing contract.
 //
 // # Declarative queries
 //

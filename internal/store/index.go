@@ -247,22 +247,6 @@ func (ix *index) walkKeys(fn func(key indexKey, ids []int64) bool) {
 	}
 }
 
-// lookup returns the sorted IDs of rows whose indexed field equals v. The
-// result is a fresh slice the caller may keep.
-func (ix *index) lookup(v any) []int64 {
-	key, ok := keyFor(v)
-	if !ok {
-		return nil
-	}
-	ids := ix.postings(key)
-	if len(ids) == 0 {
-		return nil
-	}
-	out := make([]int64, len(ids))
-	copy(out, ids)
-	return out
-}
-
 // checkUnique verifies that writing record r under id would not violate the
 // unique constraint, given the committed index state plus the transaction's
 // pending overlay (pending/deleted describe rows written/deleted in the

@@ -16,10 +16,7 @@ func TestIndexLookup(t *testing.T) {
 		ids = append(ids, mustInsert(t, s, "sample", Record{"project": int64(i % 2)}))
 	}
 	err := s.View(func(tx *Tx) error {
-		got, err := tx.Lookup("sample", "project", int64(0))
-		if err != nil {
-			return err
-		}
+		got := checkEqAgainstOracle(t, tx, "sample", "project", int64(0), "indexed")
 		want := []int64{ids[0], ids[2], ids[4]}
 		if fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Errorf("lookup = %v, want %v", got, want)
@@ -37,10 +34,7 @@ func TestLookupWithoutIndexFallsBackToScan(t *testing.T) {
 	mustInsert(t, s, "sample", Record{"color": "blue"})
 	mustInsert(t, s, "sample", Record{"color": "red"})
 	err := s.View(func(tx *Tx) error {
-		got, err := tx.Lookup("sample", "color", "red")
-		if err != nil {
-			return err
-		}
+		got := checkEqAgainstOracle(t, tx, "sample", "color", "red", "unindexed")
 		if len(got) != 2 || got[0] != 1 || got[1] != 3 {
 			t.Errorf("unindexed lookup = %v", got)
 		}
@@ -137,10 +131,10 @@ func TestIndexMaintainedAcrossUpdateAndDelete(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = s.View(func(tx *Tx) error {
-		if ids, _ := tx.Lookup("sample", "state", "pending"); len(ids) != 0 {
+		if ids, _ := lookupIDs(tx, "sample", "state", "pending"); len(ids) != 0 {
 			t.Errorf("stale index entry for pending: %v", ids)
 		}
-		if ids, _ := tx.Lookup("sample", "state", "released"); len(ids) != 1 {
+		if ids, _ := lookupIDs(tx, "sample", "state", "released"); len(ids) != 1 {
 			t.Errorf("missing index entry for released")
 		}
 		return nil
@@ -149,7 +143,7 @@ func TestIndexMaintainedAcrossUpdateAndDelete(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = s.View(func(tx *Tx) error {
-		if ids, _ := tx.Lookup("sample", "state", "released"); len(ids) != 0 {
+		if ids, _ := lookupIDs(tx, "sample", "state", "released"); len(ids) != 0 {
 			t.Errorf("index entry survived delete: %v", ids)
 		}
 		return nil
@@ -165,7 +159,7 @@ func TestCreateIndexOnPopulatedTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = s.View(func(tx *Tx) error {
-		ids, _ := tx.Lookup("sample", "kind", "k0")
+		ids, _ := lookupIDs(tx, "sample", "kind", "k0")
 		if len(ids) != 3 {
 			t.Errorf("backfilled index lookup = %v", ids)
 		}
@@ -197,17 +191,12 @@ func TestLookupOverlayInTx(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		ids, err := tx.Lookup("sample", "state", "pending")
-		if err != nil {
-			return err
-		}
+		ids := checkEqAgainstOracle(t, tx, "sample", "state", "pending", "overlay")
 		if len(ids) != 1 || ids[0] != nid {
 			t.Errorf("overlay lookup pending = %v, want [%d]", ids, nid)
 		}
-		ids, err = tx.Lookup("sample", "state", "released")
-		if err != nil {
-			return err
-		}
+		checkAgainstOracle(t, tx, "sample", "overlay")
+		ids = checkEqAgainstOracle(t, tx, "sample", "state", "released", "overlay")
 		if len(ids) != 1 || ids[0] != a {
 			t.Errorf("overlay lookup released = %v, want [%d]", ids, a)
 		}
@@ -218,28 +207,33 @@ func TestLookupOverlayInTx(t *testing.T) {
 	}
 }
 
-func TestFindAndFirst(t *testing.T) {
+func TestEqCollectAndLimitOne(t *testing.T) {
 	s := newTestStore(t, "sample")
 	mustInsert(t, s, "sample", Record{"grp": "a", "n": int64(1)})
 	mustInsert(t, s, "sample", Record{"grp": "b", "n": int64(2)})
 	mustInsert(t, s, "sample", Record{"grp": "a", "n": int64(3)})
 	_ = s.View(func(tx *Tx) error {
-		rs, err := tx.Find("sample", "grp", "a")
-		if err != nil {
-			t.Fatal(err)
+		collect := func(q Query) []Record {
+			rows, err := tx.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rs, err := rows.Collect()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rs
 		}
+		rs := collect(Query{Table: "sample", Where: []Pred{Eq("grp", "a")}})
 		if len(rs) != 2 || rs[0].Int("n") != 1 || rs[1].Int("n") != 3 {
-			t.Errorf("Find = %v", rs)
+			t.Errorf("Eq(grp=a) = %v", rs)
 		}
-		first, err := tx.First("sample", "grp", "b")
-		if err != nil {
-			t.Fatal(err)
+		first := collect(Query{Table: "sample", Where: []Pred{Eq("grp", "a")}, Limit: 1})
+		if len(first) != 1 || first[0].Int("n") != 1 {
+			t.Errorf("Eq(grp=a) limit 1 = %v", first)
 		}
-		if first.Int("n") != 2 {
-			t.Errorf("First = %v", first)
-		}
-		if _, err := tx.First("sample", "grp", "zzz"); !errors.Is(err, ErrNotFound) {
-			t.Errorf("First missing: %v", err)
+		if none := collect(Query{Table: "sample", Where: []Pred{Eq("grp", "zzz")}, Limit: 1}); len(none) != 0 {
+			t.Errorf("Eq(grp=zzz) = %v, want no row", none)
 		}
 		return nil
 	})

@@ -40,12 +40,20 @@ func TestSnapshotReadersSeeExactlyOneVersion(t *testing.T) {
 		defer writerDone.Store(true)
 		for g := int64(1); g <= generations; g++ {
 			err := s.Update(func(tx *Tx) error {
-				return tx.ScanRef("t", func(r Record) bool {
+				rows, err := tx.Query(Query{Table: "t"})
+				if err != nil {
+					return err
+				}
+				recs, err := rows.Collect() // drained before the first Put
+				if err != nil {
+					return err
+				}
+				for _, r := range recs {
 					if err := tx.Put("t", r.ID(), Record{"gen": g, "row": r.Int("row")}); err != nil {
-						panic(err)
+						return err
 					}
-					return true
-				})
+				}
+				return nil
 			})
 			if err != nil {
 				t.Errorf("writer gen %d: %v", g, err)
@@ -69,22 +77,26 @@ func TestSnapshotReadersSeeExactlyOneVersion(t *testing.T) {
 				seen := 0
 				// Paginate in pages of 7: the whole multi-call walk must
 				// read the one pinned version.
-				for from := int64(0); ; {
+				for cursor := int64(0); ; {
 					n := 0
-					var last int64
-					err := tx.ScanRangeRef("t", from, 0, func(r Record) bool {
+					rows, err := tx.Query(Query{Table: "t", Cursor: cursor, Limit: 7})
+					if err != nil {
+						t.Errorf("query: %v", err)
+						return
+					}
+					for rows.Next() {
+						r := rows.Record()
 						if gen == -1 {
 							gen = r.Int("gen")
 						} else if g := r.Int("gen"); g != gen {
 							t.Errorf("reader saw generations %d and %d in one snapshot", gen, g)
-							return false
+							break
 						}
 						seen++
-						last = r.ID()
+						cursor = rows.ID()
 						n++
-						return n < 7
-					})
-					if err != nil {
+					}
+					if err := rows.Err(); err != nil {
 						t.Errorf("scan: %v", err)
 						return
 					}
@@ -94,7 +106,6 @@ func TestSnapshotReadersSeeExactlyOneVersion(t *testing.T) {
 					if n < 7 {
 						break
 					}
-					from = last + 1
 				}
 				if seen != rows {
 					t.Errorf("reader saw %d rows, want %d", seen, rows)
@@ -351,7 +362,7 @@ func TestCommitTimeUniqueRecheck(t *testing.T) {
 	ids, err := func() ([]int64, error) {
 		tx, _ := s.Begin(true)
 		defer tx.Rollback()
-		return tx.Lookup("t", "login", "carol")
+		return lookupIDs(tx, "t", "login", "carol")
 	}()
 	if err != nil || len(ids) != 1 {
 		t.Fatalf("carol holders = %v (%v), want exactly one", ids, err)
@@ -527,9 +538,8 @@ func TestChunkBoundaries(t *testing.T) {
 	}
 	if err := s.View(func(tx *Tx) error {
 		prev := int64(0)
-		seen := 0
-		if err := tx.ScanRef("t", func(r Record) bool {
-			id := r.ID()
+		ids := queryIDs(t, tx, Query{Table: "t"})
+		for _, id := range ids {
 			if id <= prev {
 				t.Errorf("scan out of order: %d after %d", id, prev)
 			}
@@ -537,24 +547,15 @@ func TestChunkBoundaries(t *testing.T) {
 				t.Errorf("scan returned deleted id %d", id)
 			}
 			prev = id
-			seen++
-			return true
-		}); err != nil {
-			return err
 		}
-		if seen != want {
-			t.Errorf("scan saw %d rows, want %d", seen, want)
+		if len(ids) != want {
+			t.Errorf("scan saw %d rows, want %d", len(ids), want)
 		}
+		checkAgainstOracle(t, tx, "t", "sparse chunks")
 		// Range scan that starts inside the hollowed-out chunk.
-		first := int64(0)
-		if err := tx.ScanRangeRef("t", chunkSize+5, 0, func(r Record) bool {
-			first = r.ID()
-			return false
-		}); err != nil {
-			return err
-		}
-		if first != 2*chunkSize+2 {
-			t.Errorf("first live id after hole = %d, want %d", first, 2*chunkSize+2)
+		first := queryIDs(t, tx, Query{Table: "t", Where: []Pred{Range(IDField, int64(chunkSize+5), nil)}, Limit: 1})
+		if len(first) != 1 || first[0] != 2*chunkSize+2 {
+			t.Errorf("first live id after hole = %v, want %d", first, 2*chunkSize+2)
 		}
 		return nil
 	}); err != nil {

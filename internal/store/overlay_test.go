@@ -12,7 +12,7 @@ import (
 // These tests pin the indexed-overlay semantics: the per-transaction
 // key→ids maps that make unique checks and overlay-aware lookups O(1)
 // must be observationally identical to the reference implementation that
-// scanned every pending write, across arbitrary Insert/Put/Delete/Lookup
+// scanned every pending write, across arbitrary Insert/Put/Delete/Query
 // interleavings — including the failure paths, which must leave no
 // partial overlay state behind.
 
@@ -72,7 +72,7 @@ func testInsertFailureUndo(t *testing.T, seed int) {
 		if second != first+1 {
 			return fmt.Errorf("provisional id not rolled back: ids %d, %d", first, second)
 		}
-		ids, err := tx.Lookup("t", "g", "phantom")
+		ids, err := lookupIDs(tx, "t", "g", "phantom")
 		if err != nil {
 			return err
 		}
@@ -95,7 +95,7 @@ func testInsertFailureUndo(t *testing.T, seed int) {
 			value string
 			want  int
 		}{{"g", "phantom", 1}, {"g", "x", 2}, {"u", "taken", 1}, {"u", "free", 1}, {"g", "seed", seed}} {
-			ids, err := tx.Lookup("t", tc.field, tc.value)
+			ids, err := lookupIDs(tx, "t", tc.field, tc.value)
 			if err != nil {
 				return err
 			}
@@ -178,7 +178,8 @@ func (m *refModel) uniqueConflict(v any, self int64) bool {
 	return false
 }
 
-// lookup is the reference Lookup: filter committed, scan pending, sort.
+// lookup is the reference equality lookup: filter committed, scan pending,
+// sort.
 func (m *refModel) lookup(field string, v any) []int64 {
 	want, ok := keyFor(v)
 	if !ok {
@@ -262,19 +263,28 @@ func (m *refModel) liveIDs() []int64 {
 }
 
 // TestOverlayMatchesReferenceModel drives randomized interleavings of
-// Insert/Put/Delete/Lookup through multi-statement transactions and
+// Insert/Put/Delete/Query through multi-statement transactions and
 // checks, op by op and field by field (unique index, non-unique index,
 // unindexed fallback), that the overlay-indexed implementation answers
 // exactly like the reference scan-all-pending model — including which
-// operations fail. A concurrent snapshot reader runs throughout so the
-// -race pass also fences the overlay maps against the lock-free read
+// operations fail. Each probe also runs the id-ordered read shapes
+// (ascending, Desc, Cursor, Range("id")) against the model's live ids and
+// the naive GetRef walk, in transactions on both sides of the overlay
+// map-build threshold. A concurrent snapshot reader runs throughout so
+// the -race pass also fences the overlay maps against the lock-free read
 // path.
 func TestOverlayMatchesReferenceModel(t *testing.T) {
 	s := overlayTestStore(t)
 	ref := newRefModel()
 	rng := rand.New(rand.NewSource(42))
 
-	uvals := []string{"u0", "u1", "u2", "u3", "u4", "u5", "u6", "u7"}
+	// Enough distinct unique keys that a transaction's pending writes can
+	// outgrow the overlay map-build threshold before inserts start to
+	// collide (asserted after the loop).
+	var uvals []string
+	for i := 0; i < 4*ixwBuildThreshold; i++ {
+		uvals = append(uvals, fmt.Sprintf("u%d", i))
+	}
 	gvals := []string{"g0", "g1", "g2"}
 	zvals := []string{"z0", "z1"}
 	randRec := func() Record {
@@ -307,7 +317,7 @@ func TestOverlayMatchesReferenceModel(t *testing.T) {
 			}
 			_ = s.View(func(tx *Tx) error {
 				for _, v := range uvals {
-					ids, err := tx.Lookup("t", "u", v)
+					ids, err := lookupIDs(tx, "t", "u", v)
 					if err != nil {
 						return err
 					}
@@ -321,7 +331,8 @@ func TestOverlayMatchesReferenceModel(t *testing.T) {
 	}()
 
 	const rounds = 60
-	const opsPerTx = 40
+	const opsPerTx = 100
+	probesBelow, probesAbove := 0, 0 // probes run without / with the overlay maps built
 	for round := 0; round < rounds; round++ {
 		ref.beginTx()
 		err := s.Update(func(tx *Tx) error {
@@ -358,7 +369,7 @@ func TestOverlayMatchesReferenceModel(t *testing.T) {
 					if wantOK != (err == nil) {
 						return fmt.Errorf("round %d op %d: Delete(%d) err=%v, reference ok=%v", round, op, id, err, wantOK)
 					}
-				default: // Lookup across all three field classes
+				default: // Eq query across all three field classes, then the scans
 					for _, probe := range []struct {
 						field string
 						v     string
@@ -367,16 +378,24 @@ func TestOverlayMatchesReferenceModel(t *testing.T) {
 						{"g", gvals[rng.Intn(len(gvals))]},
 						{"z", zvals[rng.Intn(len(zvals))]},
 					} {
-						got, err := tx.Lookup("t", probe.field, probe.v)
+						got, err := lookupIDs(tx, "t", probe.field, probe.v)
 						if err != nil {
 							return err
 						}
 						want := ref.lookup(probe.field, probe.v)
 						if !equalIDs(got, want) {
-							return fmt.Errorf("round %d op %d: Lookup(%s=%s) = %v, reference %v",
+							return fmt.Errorf("round %d op %d: Eq(%s=%s) = %v, reference %v",
 								round, op, probe.field, probe.v, got, want)
 						}
 					}
+					if o := tx.pending["t"]; o != nil && o.ixw != nil {
+						probesAbove++
+					} else {
+						probesBelow++
+					}
+					label := fmt.Sprintf("round %d op %d", round, op)
+					eqIDs(t, queryIDs(t, tx, Query{Table: "t"}), ref.liveIDs(), label+": scan vs reference model")
+					checkAgainstOracle(t, tx, "t", label)
 				}
 			}
 			return nil
@@ -406,10 +425,13 @@ func TestOverlayMatchesReferenceModel(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+	if probesBelow == 0 || probesAbove == 0 {
+		t.Fatalf("probes ran %d times below and %d times above the overlay map-build threshold; want both regimes", probesBelow, probesAbove)
+	}
 }
 
 func mustLookup(tx *Tx, field, v string) []int64 {
-	ids, err := tx.Lookup("t", field, v)
+	ids, err := lookupIDs(tx, "t", field, v)
 	if err != nil {
 		panic(err)
 	}
@@ -500,11 +522,11 @@ func TestCommitCopiesEachStructureOnce(t *testing.T) {
 
 	// The rewrite must have actually moved the postings.
 	err = s.View(func(tx *Tx) error {
-		moved, _ := tx.Lookup("t", "g", "moved")
+		moved, _ := lookupIDs(tx, "t", "g", "moved")
 		if !equalIDs(moved, []int64{10, 20}) {
 			return fmt.Errorf("g=moved -> %v", moved)
 		}
-		shared, _ := tx.Lookup("t", "g", "shared")
+		shared, _ := lookupIDs(tx, "t", "g", "shared")
 		if len(shared) != n-2 {
 			return fmt.Errorf("g=shared has %d ids, want %d", len(shared), n-2)
 		}

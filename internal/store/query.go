@@ -363,6 +363,11 @@ func (tx *Tx) Query(q Query) (*Rows, error) {
 //		...
 //	}
 //	if err := rows.Err(); err != nil { ... }
+//
+// A Rows reads the transaction's overlay as it goes, so writing the
+// iterated table through the same Tx while the Rows is open is
+// unsupported: read-then-write loops drain it first (IDs or Collect) and
+// write afterwards.
 type Rows struct {
 	tx *Tx
 	t  *table
@@ -521,6 +526,17 @@ func (r *Rows) Collect() ([]Record, error) {
 	return out, r.Err()
 }
 
+// IDs drains the iterator and returns the remaining rows' ids in a slice
+// the caller owns — the form read-then-write loops need, since the
+// iterated table must not be written while the Rows is open.
+func (r *Rows) IDs() ([]int64, error) {
+	var out []int64
+	for r.Next() {
+		out = append(out, r.ID())
+	}
+	return out, r.Err()
+}
+
 // materialize runs the sort path: drain every matching row through the
 // streaming machinery, then order by the OrderBy field (missing and
 // mutually incomparable values first, ids as tiebreak).
@@ -598,20 +614,6 @@ func typeRank(v any) int {
 	}
 }
 
-// readRow returns the live row with the given id as the transaction sees
-// it — the pending overlay shadowing the pinned version — or nil.
-func (tx *Tx) readRow(tableName string, t *table, id int64) Record {
-	if o, ok := tx.pending[tableName]; ok {
-		if o.deletes[id] {
-			return nil
-		}
-		if rec, ok := o.writes[id]; ok {
-			return rec
-		}
-	}
-	return t.get(id)
-}
-
 // lookupKeys resolves the sorted, deduplicated ids matching any of the
 // canonical keys on an indexed field, merging committed postings with the
 // transaction's pending overlay. With no overlay and one key this is the
@@ -673,7 +675,7 @@ func (tx *Tx) lookupKeys(tableName string, t *table, field string, keys []indexK
 
 // scanRows is the pull-based ordered scan: it merges the pinned version's
 // chunk walk with the transaction's pending overlay, ascending or
-// descending. It is the streaming twin of Tx.scanRange.
+// descending — the store's only ordered merge-walk.
 type scanRows struct {
 	o    *txTable
 	desc bool

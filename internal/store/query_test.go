@@ -47,7 +47,7 @@ func queryStore(t *testing.T, n, projects int) *Store {
 	return s
 }
 
-func queryIDs(t *testing.T, tx *Tx, q Query) []int64 {
+func queryIDs(t testing.TB, tx *Tx, q Query) []int64 {
 	t.Helper()
 	rows, err := tx.Query(q)
 	if err != nil {
@@ -66,24 +66,7 @@ func queryIDs(t *testing.T, tx *Tx, q Query) []int64 {
 	return ids
 }
 
-// scanFilterIDs is the hand-rolled baseline the engine must reproduce:
-// full ordered scan plus Go-side predicate filtering.
-func scanFilterIDs(t *testing.T, tx *Tx, table string, keep func(Record) bool) []int64 {
-	t.Helper()
-	var ids []int64
-	err := tx.ScanRef(table, func(r Record) bool {
-		if keep(r) {
-			ids = append(ids, r.ID())
-		}
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ids
-}
-
-func eqIDs(t *testing.T, got, want []int64, label string) {
+func eqIDs(t testing.TB, got, want []int64, label string) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: got %d ids %v, want %d %v", label, len(got), got, len(want), want)
@@ -203,7 +186,7 @@ func TestQueryEquivalenceAgainstScan(t *testing.T) {
 				func(r Record) bool { return false }},
 		}
 		for _, c := range cases {
-			want := scanFilterIDs(t, tx, "sample", c.keep)
+			want := naiveIDs(t, tx, "sample", c.keep)
 			eqIDs(t, queryIDs(t, tx, c.q), want, c.name)
 
 			// Desc must yield exactly the reverse.
@@ -336,10 +319,10 @@ func TestQueryObservesOverlay(t *testing.T) {
 		}
 
 		keep := func(r Record) bool { return r.Int("project") == 1 }
-		want := scanFilterIDs(t, tx, "sample", keep)
+		want := naiveIDs(t, tx, "sample", keep)
 		eqIDs(t, queryIDs(t, tx, Query{Table: "sample", Where: []Pred{Eq("project", int64(1))}}), want, "overlay index path")
 
-		wantScan := scanFilterIDs(t, tx, "sample", func(Record) bool { return true })
+		wantScan := naiveIDs(t, tx, "sample", func(Record) bool { return true })
 		eqIDs(t, queryIDs(t, tx, Query{Table: "sample"}), wantScan, "overlay scan path")
 
 		rev := make([]int64, len(wantScan))
@@ -524,7 +507,7 @@ func TestQueryRandomizedEquivalence(t *testing.T) {
 				})
 			}
 			q := Query{Table: "r", Where: preds, Desc: rng.Intn(2) == 0}
-			want := scanFilterIDs(t, tx, "r", func(r Record) bool {
+			want := naiveIDs(t, tx, "r", func(r Record) bool {
 				for _, ck := range checks {
 					if !ck(r) {
 						return false

@@ -83,14 +83,13 @@ func TestQuickSaveLoadEquivalence(t *testing.T) {
 			}
 			ok := true
 			_ = s.View(func(tx *Tx) error {
-				return tx.Scan(name, func(r Record) bool {
+				for _, r := range naiveRows(t, tx, name) {
 					r2, err := s2.Get(name, r.ID())
 					if err != nil || fmt.Sprint(r) != fmt.Sprint(r2) {
 						ok = false
-						return false
 					}
-					return true
-				})
+				}
+				return nil
 			})
 			if !ok {
 				return false
@@ -124,25 +123,11 @@ func TestQuickUniqueInvariant(t *testing.T) {
 					return err
 				})
 			case 1: // delete a random live row
-				var victim int64
-				_ = s.View(func(tx *Tx) error {
-					return tx.Scan("u", func(r Record) bool {
-						victim = r.ID()
-						return rng.Intn(3) != 0
-					})
-				})
-				if victim != 0 {
+				if victim := randomLiveID(s, "u", rng); victim != 0 {
 					_ = s.Update(func(tx *Tx) error { return tx.Delete("u", victim) })
 				}
 			case 2: // rename a random live row
-				var victim int64
-				_ = s.View(func(tx *Tx) error {
-					return tx.Scan("u", func(r Record) bool {
-						victim = r.ID()
-						return false
-					})
-				})
-				if victim != 0 {
+				if victim := randomLiveID(s, "u", rng); victim != 0 {
 					_ = s.Update(func(tx *Tx) error {
 						return tx.Put("u", victim, Record{"k": key})
 					})
@@ -153,15 +138,14 @@ func TestQuickUniqueInvariant(t *testing.T) {
 		seen := map[string]int64{}
 		violated := false
 		_ = s.View(func(tx *Tx) error {
-			return tx.Scan("u", func(r Record) bool {
+			for _, r := range naiveRows(t, tx, "u") {
 				k := r.String("k")
 				if prev, dup := seen[k]; dup && prev != r.ID() {
 					violated = true
-					return false
 				}
 				seen[k] = r.ID()
-				return true
-			})
+			}
+			return nil
 		})
 		return !violated
 	}
@@ -170,8 +154,9 @@ func TestQuickUniqueInvariant(t *testing.T) {
 	}
 }
 
-// TestQuickCountMatchesScan: Count always equals the number of rows a Scan
-// visits, under random mutation.
+// TestQuickCountMatchesScan: Count always equals the number of rows a full
+// Query visits, under random mutation. (Count is the independent side here:
+// the naive walk is driven by it, so it cannot referee this one.)
 func TestQuickCountMatchesScan(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -186,14 +171,7 @@ func TestQuickCountMatchesScan(t *testing.T) {
 					return err
 				})
 			} else {
-				var victim int64
-				_ = s.View(func(tx *Tx) error {
-					return tx.Scan("c", func(r Record) bool {
-						victim = r.ID()
-						return false
-					})
-				})
-				if victim != 0 {
+				if victim := randomLiveID(s, "c", rng); victim != 0 {
 					err := s.Update(func(tx *Tx) error { return tx.Delete("c", victim) })
 					if err != nil && !errors.Is(err, ErrNotFound) {
 						return false
@@ -201,13 +179,95 @@ func TestQuickCountMatchesScan(t *testing.T) {
 				}
 			}
 		}
-		n := 0
-		_ = s.View(func(tx *Tx) error {
-			return tx.Scan("c", func(Record) bool { n++; return true })
+		var ids []int64
+		err := s.View(func(tx *Tx) (err error) {
+			ids, err = drainIDs(tx, Query{Table: "c"})
+			return err
 		})
-		return n == s.Count("c")
+		return err == nil && len(ids) == s.Count("c")
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Error(err)
+	}
+}
+
+// randomLiveID picks one live id of the table, or 0 when it is empty.
+func randomLiveID(s *Store, table string, rng *rand.Rand) int64 {
+	var ids []int64
+	_ = s.View(func(tx *Tx) (err error) {
+		ids, err = drainIDs(tx, Query{Table: table})
+		return err
+	})
+	if len(ids) == 0 {
+		return 0
+	}
+	return ids[rng.Intn(len(ids))]
+}
+
+// TestQuickQueryMatchesNaiveWalk: inside one transaction that inserts,
+// rewrites and deletes rows over a random committed base, every id-ordered
+// read shape (ascending, Desc, Cursor pages, Range("id")) and every Eq
+// lookup — indexed and unindexed — answers exactly like the naive GetRef
+// walk after every single write. Each seed runs a short transaction that
+// stays below the overlay map-build threshold and a long one that crosses
+// it, so both overlay regimes of scanRows and lookupKeys are refereed.
+func TestQuickQueryMatchesNaiveWalk(t *testing.T) {
+	groups := []string{"g0", "g1", "g2"}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		for _, ops := range []int{ixwBuildThreshold / 2, 3 * ixwBuildThreshold} {
+			s := newTestStore(t, "t")
+			if err := s.CreateIndex("t", "g", false); err != nil {
+				t.Fatal(err)
+			}
+			randRec := func() Record {
+				return Record{"g": groups[rng.Intn(len(groups))], "z": groups[rng.Intn(len(groups))]}
+			}
+			// Committed base spanning more than one chunk, with holes.
+			base := chunkSize + rng.Intn(chunkSize)
+			err := s.Update(func(tx *Tx) error {
+				for i := 0; i < base; i++ {
+					if _, err := tx.Insert("t", randRec()); err != nil {
+						return err
+					}
+				}
+				for i := 0; i < base/8; i++ {
+					_ = tx.Delete("t", int64(rng.Intn(base)+1)) // may repeat: ErrNotFound is fine
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = s.Update(func(tx *Tx) error {
+				for op := 0; op < ops; op++ {
+					var err error
+					switch id := int64(rng.Intn(base+op) + 1); rng.Intn(3) {
+					case 0:
+						_, err = tx.Insert("t", randRec())
+					case 1:
+						err = tx.Put("t", id, randRec())
+					case 2:
+						err = tx.Delete("t", id)
+					}
+					if err != nil && !errors.Is(err, ErrNotFound) {
+						return err
+					}
+					label := fmt.Sprintf("seed %d, %d ops, after op %d", seed, ops, op)
+					checkAgainstOracle(t, tx, "t", label)
+					for _, field := range []string{"g", "z"} {
+						checkEqAgainstOracle(t, tx, "t", field, groups[rng.Intn(len(groups))], label)
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 8}); err != nil {
 		t.Error(err)
 	}
 }

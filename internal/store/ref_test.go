@@ -6,24 +6,21 @@ import (
 	"testing"
 )
 
-// collectIDs runs a range scan and returns the visited ids.
-func collectIDs(t *testing.T, tx *Tx, table string, from, to int64, ref bool) []int64 {
-	t.Helper()
-	var ids []int64
-	fn := func(r Record) bool {
-		ids = append(ids, r.ID())
-		return true
+// idRange builds the id-window query ScanRange used to spell: 0 means
+// unbounded on that side.
+func idRange(table string, from, to int64) Query {
+	q := Query{Table: table}
+	var min, max any
+	if from != 0 {
+		min = from
 	}
-	var err error
-	if ref {
-		err = tx.ScanRangeRef(table, from, to, fn)
-	} else {
-		err = tx.ScanRange(table, from, to, fn)
+	if to != 0 {
+		max = to
 	}
-	if err != nil {
-		t.Fatalf("ScanRange(%d,%d): %v", from, to, err)
+	if min != nil || max != nil {
+		q.Where = []Pred{Range(IDField, min, max)}
 	}
-	return ids
+	return q
 }
 
 func equalIDs(a, b []int64) bool {
@@ -38,7 +35,7 @@ func equalIDs(a, b []int64) bool {
 	return true
 }
 
-func TestScanRangeBoundaries(t *testing.T) {
+func TestQueryIDRangeBoundaries(t *testing.T) {
 	s := newTestStore(t, "t")
 	for i := 0; i < 10; i++ {
 		mustInsert(t, s, "t", Record{"n": int64(i)}) // ids 1..10
@@ -67,42 +64,53 @@ func TestScanRangeBoundaries(t *testing.T) {
 		{11, 0, nil},                             // past the end
 		{7, 3, nil},                              // inverted range
 	}
-	for _, ref := range []bool{false, true} {
-		err := s.View(func(tx *Tx) error {
-			for _, c := range cases {
-				if got := collectIDs(t, tx, "t", c.from, c.to, ref); !equalIDs(got, c.want) {
-					t.Errorf("ScanRange(ref=%v, %d, %d) = %v, want %v", ref, c.from, c.to, got, c.want)
-				}
+	err = s.View(func(tx *Tx) error {
+		for _, c := range cases {
+			got := queryIDs(t, tx, idRange("t", c.from, c.to))
+			if !equalIDs(got, c.want) {
+				t.Errorf("id range [%d,%d] = %v, want %v", c.from, c.to, got, c.want)
 			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
+			oracle := naiveIDs(t, tx, "t", func(r Record) bool {
+				return r.ID() >= c.from && (c.to == 0 || r.ID() <= c.to)
+			})
+			if !equalIDs(got, oracle) {
+				t.Errorf("id range [%d,%d] = %v, naive walk says %v", c.from, c.to, got, oracle)
+			}
 		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
-func TestScanRangeUnknownTable(t *testing.T) {
+func TestQueryUnknownTable(t *testing.T) {
 	s := newTestStore(t, "t")
 	err := s.View(func(tx *Tx) error {
-		return tx.ScanRange("nope", 0, 0, func(Record) bool { return true })
+		_, err := tx.Query(Query{Table: "nope"})
+		return err
 	})
 	if !errors.Is(err, ErrNoTable) {
 		t.Fatalf("got %v, want ErrNoTable", err)
 	}
 }
 
-func TestScanRangeEarlyStop(t *testing.T) {
+func TestQueryIDRangeEarlyStop(t *testing.T) {
 	s := newTestStore(t, "t")
 	for i := 0; i < 5; i++ {
 		mustInsert(t, s, "t", Record{"n": int64(i)})
 	}
 	var seen []int64
 	err := s.View(func(tx *Tx) error {
-		return tx.ScanRangeRef("t", 2, 0, func(r Record) bool {
-			seen = append(seen, r.ID())
-			return len(seen) < 2
-		})
+		// Abandoning a Rows mid-stream is legal: it holds no resource.
+		rows, err := tx.Query(idRange("t", 2, 0))
+		if err != nil {
+			return err
+		}
+		for len(seen) < 2 && rows.Next() {
+			seen = append(seen, rows.ID())
+		}
+		return rows.Err()
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -112,10 +120,10 @@ func TestScanRangeEarlyStop(t *testing.T) {
 	}
 }
 
-// TestScanRangeObservesOverlay verifies that range scans inside a read-write
-// transaction merge pending inserts, rewrites and deletes into the committed
-// order.
-func TestScanRangeObservesOverlay(t *testing.T) {
+// TestQueryIDRangeObservesOverlay verifies that id-range queries inside a
+// read-write transaction merge pending inserts, rewrites and deletes into
+// the committed order.
+func TestQueryIDRangeObservesOverlay(t *testing.T) {
 	s := newTestStore(t, "t")
 	for i := 0; i < 6; i++ {
 		mustInsert(t, s, "t", Record{"v": "old"}) // ids 1..6
@@ -132,11 +140,15 @@ func TestScanRangeObservesOverlay(t *testing.T) {
 		}
 		var ids []int64
 		vals := map[int64]string{}
-		if err := tx.ScanRangeRef("t", 2, 7, func(r Record) bool {
-			ids = append(ids, r.ID())
-			vals[r.ID()] = r.String("v")
-			return true
-		}); err != nil {
+		rows, err := tx.Query(idRange("t", 2, 7))
+		if err != nil {
+			return err
+		}
+		for rows.Next() {
+			ids = append(ids, rows.ID())
+			vals[rows.ID()] = rows.Record().String("v")
+		}
+		if err := rows.Err(); err != nil {
 			return err
 		}
 		if want := []int64{3, 4, 5, 6, 7}; !equalIDs(ids, want) {
@@ -160,11 +172,21 @@ func TestRefSnapshotImmutability(t *testing.T) {
 	s := newTestStore(t, "t")
 	id := mustInsert(t, s, "t", Record{"v": "before", "tags": []string{"x"}})
 
-	var ref Record
+	var ref, rowRef Record
 	err := s.View(func(tx *Tx) error {
 		var err error
-		ref, err = tx.GetRef("t", id)
-		return err
+		if ref, err = tx.GetRef("t", id); err != nil {
+			return err
+		}
+		rows, err := tx.Query(Query{Table: "t"})
+		if err != nil {
+			return err
+		}
+		if !rows.Next() {
+			t.Fatal("query yielded no row")
+		}
+		rowRef = rows.Record()
+		return rows.Err()
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -177,11 +199,13 @@ func TestRefSnapshotImmutability(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if got := ref.String("v"); got != "before" {
-		t.Fatalf("held ref mutated: v = %q, want %q", got, "before")
-	}
-	if tags := ref.Strings("tags"); len(tags) != 1 || tags[0] != "x" {
-		t.Fatalf("held ref slice mutated: %v", tags)
+	for name, held := range map[string]Record{"GetRef": ref, "Rows.Record": rowRef} {
+		if got := held.String("v"); got != "before" {
+			t.Fatalf("held %s ref mutated: v = %q, want %q", name, got, "before")
+		}
+		if tags := held.Strings("tags"); len(tags) != 1 || tags[0] != "x" {
+			t.Fatalf("held %s ref slice mutated: %v", name, tags)
+		}
 	}
 	cur, err := s.Get("t", id)
 	if err != nil {
@@ -240,13 +264,24 @@ func TestRefReadersNeverSeeTornRecords(t *testing.T) {
 			for i := 0; i < rounds; i++ {
 				var held []Record
 				err := s.View(func(tx *Tx) error {
-					return tx.ScanRef("t", func(rec Record) bool {
+					// Every row is read through Rows.Record and again
+					// through GetRef.
+					rows, err := tx.Query(Query{Table: "t"})
+					if err != nil {
+						return err
+					}
+					for rows.Next() {
+						rec := rows.Record()
 						if a, b := rec.Int("a"), rec.Int("b"); a != b {
 							t.Errorf("torn record %d during scan: a=%d b=%d", rec.ID(), a, b)
 						}
-						held = append(held, rec)
-						return true
-					})
+						point, err := tx.GetRef("t", rows.ID())
+						if err != nil {
+							return err
+						}
+						held = append(held, rec, point)
+					}
+					return rows.Err()
 				})
 				if err != nil {
 					t.Errorf("reader %d: %v", r, err)
@@ -265,8 +300,8 @@ func TestRefReadersNeverSeeTornRecords(t *testing.T) {
 	wg.Wait()
 }
 
-// TestLookupRewriteNoDuplicates is a regression test for the Lookup overlay
-// dedupe: a row rewritten in the transaction with an unchanged indexed value
+// TestLookupRewriteNoDuplicates is a regression test for the index-resolver
+// overlay dedupe: a row rewritten in the transaction with an unchanged indexed value
 // must appear exactly once.
 func TestLookupRewriteNoDuplicates(t *testing.T) {
 	s := newTestStore(t, "t")
@@ -278,12 +313,8 @@ func TestLookupRewriteNoDuplicates(t *testing.T) {
 		if err := tx.Put("t", id, Record{"grp": "g", "n": int64(2)}); err != nil {
 			return err
 		}
-		ids, err := tx.Lookup("t", "grp", "g")
-		if err != nil {
-			return err
-		}
-		if !equalIDs(ids, []int64{id}) {
-			t.Errorf("Lookup after rewrite = %v, want [%d]", ids, id)
+		if ids := checkEqAgainstOracle(t, tx, "t", "grp", "g", "rewrite"); !equalIDs(ids, []int64{id}) {
+			t.Errorf("Eq query after rewrite = %v, want [%d]", ids, id)
 		}
 		return nil
 	})
@@ -292,16 +323,20 @@ func TestLookupRewriteNoDuplicates(t *testing.T) {
 	}
 }
 
-// TestFindRefSharesRecords verifies FindRef returns the committed maps
-// themselves (no copies) while Find returns independent clones.
-func TestFindRefSharesRecords(t *testing.T) {
+// TestRowsShareRecords verifies Rows.Record and Collect return the
+// committed maps themselves (no copies) while Get returns independent clones.
+func TestRowsShareRecords(t *testing.T) {
 	s := newTestStore(t, "t")
 	if err := s.CreateIndex("t", "grp", false); err != nil {
 		t.Fatal(err)
 	}
 	mustInsert(t, s, "t", Record{"grp": "g", "tags": []string{"a"}})
 	err := s.View(func(tx *Tx) error {
-		refs, err := tx.FindRef("t", "grp", "g")
+		rows, err := tx.Query(Query{Table: "t", Where: []Pred{Eq("grp", "g")}})
+		if err != nil {
+			return err
+		}
+		refs, err := rows.Collect()
 		if err != nil {
 			return err
 		}
@@ -312,7 +347,7 @@ func TestFindRefSharesRecords(t *testing.T) {
 		// Same underlying map: mutating would be a contract violation, but
 		// identity is observable through shared slice storage.
 		if &refs[0].Strings("tags")[0] != &ref2.Strings("tags")[0] {
-			t.Error("FindRef and GetRef returned different copies")
+			t.Error("Rows and GetRef returned different copies")
 		}
 		clone, err := tx.Get("t", refs[0].ID())
 		if err != nil {

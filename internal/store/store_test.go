@@ -245,10 +245,8 @@ func TestScanOrderAndEarlyStop(t *testing.T) {
 	}
 	var ids []int64
 	err := s.View(func(tx *Tx) error {
-		return tx.Scan("sample", func(r Record) bool {
-			ids = append(ids, r.ID())
-			return len(ids) < 4
-		})
+		ids = queryIDs(t, tx, Query{Table: "sample", Limit: 4})
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -278,12 +276,17 @@ func TestScanSeesOverlay(t *testing.T) {
 			return err
 		}
 		var names []string
-		if err := tx.Scan("sample", func(r Record) bool {
-			names = append(names, r.String("name"))
-			return true
-		}); err != nil {
+		rows, err := tx.Query(Query{Table: "sample"})
+		if err != nil {
 			return err
 		}
+		for rows.Next() {
+			names = append(names, rows.Record().String("name"))
+		}
+		if err := rows.Err(); err != nil {
+			return err
+		}
+		checkAgainstOracle(t, tx, "sample", "overlay")
 		if len(names) != 2 || names[0] != "b2" || names[1] != "c" {
 			t.Errorf("overlay scan = %v, want [b2 c]", names)
 		}

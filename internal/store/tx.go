@@ -365,7 +365,7 @@ func (tx *Tx) Put(tableName string, id int64, r Record) error {
 	if err := validateRecord(r); err != nil {
 		return err
 	}
-	if !tx.exists(t, tableName, id) {
+	if tx.readRow(tableName, t, id) == nil {
 		return fmt.Errorf("store: %s/%d: %w", tableName, id, ErrNotFound)
 	}
 	rec := r.Clone()
@@ -396,7 +396,7 @@ func (tx *Tx) Delete(tableName string, id int64) error {
 	if err != nil {
 		return err
 	}
-	if !tx.exists(t, tableName, id) {
+	if tx.readRow(tableName, t, id) == nil {
 		return fmt.Errorf("store: %s/%d: %w", tableName, id, ErrNotFound)
 	}
 	o := tx.overlay(tableName)
@@ -408,16 +408,19 @@ func (tx *Tx) Delete(tableName string, id int64) error {
 	return nil
 }
 
-func (tx *Tx) exists(t *table, tableName string, id int64) bool {
+// readRow is the one overlay-shadowing point read: the live row with the
+// given id as the transaction sees it — pending deletes, then pending
+// writes, then the pinned version — or nil.
+func (tx *Tx) readRow(tableName string, t *table, id int64) Record {
 	if o, ok := tx.pending[tableName]; ok {
 		if o.deletes[id] {
-			return false
+			return nil
 		}
-		if _, ok := o.writes[id]; ok {
-			return true
+		if rec, ok := o.writes[id]; ok {
+			return rec
 		}
 	}
-	return t.get(id) != nil
+	return t.get(id)
 }
 
 // Get returns a copy of the record with the given id, observing the
@@ -447,15 +450,7 @@ func (tx *Tx) GetRef(tableName string, id int64) (Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	if o, ok := tx.pending[tableName]; ok {
-		if o.deletes[id] {
-			return nil, fmt.Errorf("store: %s/%d: %w", tableName, id, ErrNotFound)
-		}
-		if r, ok := o.writes[id]; ok {
-			return r, nil
-		}
-	}
-	r := t.get(id)
+	r := tx.readRow(tableName, t, id)
 	if r == nil {
 		return nil, fmt.Errorf("store: %s/%d: %w", tableName, id, ErrNotFound)
 	}
@@ -471,7 +466,7 @@ func (tx *Tx) Exists(tableName string, id int64) bool {
 	if err != nil {
 		return false
 	}
-	return tx.exists(t, tableName, id)
+	return tx.readRow(tableName, t, id) != nil
 }
 
 // Count returns the number of live records in the table as seen by the
@@ -506,267 +501,6 @@ func (tx *Tx) liveCount(tableName string, t *table) int {
 		}
 	}
 	return n
-}
-
-// Scan visits every live record of the table in ascending ID order. The
-// callback receives a copy of each record and returns false to stop early.
-func (tx *Tx) Scan(tableName string, fn func(r Record) bool) error {
-	return tx.scanRange(tableName, 0, 0, true, fn)
-}
-
-// ScanRef is Scan without the per-record copy: the callback receives shared
-// references to live records, in ascending ID order. The GetRef aliasing
-// contract applies — records must not be mutated.
-func (tx *Tx) ScanRef(tableName string, fn func(r Record) bool) error {
-	return tx.scanRange(tableName, 0, 0, false, fn)
-}
-
-// ScanRange visits the live records with fromID <= id <= toID in ascending
-// ID order, receiving copies. A fromID of 0 means "from the first record"; a
-// toID of 0 means "to the last". This is the primitive behind paginated
-// browsing: pass the last seen id + 1 as fromID to resume a scan. Within
-// one transaction, every page reads the same pinned version, so paginated
-// results are mutually consistent even under concurrent write load.
-func (tx *Tx) ScanRange(tableName string, fromID, toID int64, fn func(r Record) bool) error {
-	return tx.scanRange(tableName, fromID, toID, true, fn)
-}
-
-// ScanRangeRef is ScanRange without the per-record copy. The GetRef aliasing
-// contract applies.
-func (tx *Tx) ScanRangeRef(tableName string, fromID, toID int64, fn func(r Record) bool) error {
-	return tx.scanRange(tableName, fromID, toID, false, fn)
-}
-
-// scanRange is the shared ordered-scan core. The pinned version's chunk
-// layout yields ascending id order structurally — no per-call rebuild or
-// sort — and the transaction's pending overlay, when one exists, is
-// merge-walked in.
-func (tx *Tx) scanRange(tableName string, fromID, toID int64, clone bool, fn func(r Record) bool) error {
-	if tx.done {
-		return ErrTxDone
-	}
-	t, err := tx.table(tableName)
-	if err != nil {
-		return err
-	}
-	emit := func(r Record) bool {
-		if clone {
-			r = r.Clone()
-		}
-		return fn(r)
-	}
-
-	it := t.iter(fromID, toID)
-	o := tx.pending[tableName]
-	if o == nil || (len(o.writes) == 0 && len(o.deletes) == 0) {
-		// Fast path: no overlay, walk the committed chunks directly.
-		for id, r := it.next(); id != 0; id, r = it.next() {
-			if !emit(r) {
-				return nil
-			}
-		}
-		return nil
-	}
-
-	// Overlay ids (new inserts and rewrites) in range, sorted.
-	oids := make([]int64, 0, len(o.writes))
-	for id := range o.writes {
-		if !o.deletes[id] && id >= fromID && (toID == 0 || id <= toID) {
-			oids = append(oids, id)
-		}
-	}
-	sort.Slice(oids, func(i, j int) bool { return oids[i] < oids[j] })
-
-	// Merge-walk committed and overlay records. Rewritten committed ids
-	// are emitted from the overlay side; deleted ids are skipped.
-	j := 0
-	id, r := it.next()
-	for id != 0 || j < len(oids) {
-		switch {
-		case j >= len(oids) || (id != 0 && id < oids[j]):
-			if !o.deletes[id] {
-				if _, rewritten := o.writes[id]; !rewritten {
-					if !emit(r) {
-						return nil
-					}
-				}
-			}
-			id, r = it.next()
-		case id == 0 || oids[j] < id:
-			if !emit(o.writes[oids[j]]) {
-				return nil
-			}
-			j++
-		default: // equal: rewritten committed row
-			if !emit(o.writes[oids[j]]) {
-				return nil
-			}
-			j++
-			id, r = it.next()
-		}
-	}
-	return nil
-}
-
-// Lookup returns the sorted IDs of records whose field equals value, using
-// the field's index if one exists and falling back to a full scan otherwise.
-// The result observes the transaction's pending writes.
-func (tx *Tx) Lookup(tableName, field string, value any) ([]int64, error) {
-	if tx.done {
-		return nil, ErrTxDone
-	}
-	t, err := tx.table(tableName)
-	if err != nil {
-		return nil, err
-	}
-	want, ok := keyFor(value)
-	if !ok {
-		return nil, fmt.Errorf("store: lookup value %T: %w", value, ErrBadValue)
-	}
-	o := tx.pending[tableName]
-	var ids []int64
-	if ix, haveIx := t.indexes[field]; haveIx {
-		committed := ix.lookup(value)
-		if o == nil || (len(o.writes) == 0 && len(o.deletes) == 0) {
-			// Fast path: the index result is already sorted and final.
-			return committed, nil
-		}
-		// Committed holders minus this transaction's deletes and rewrites,
-		// merged with the overlay's own sorted holders of the key — a map
-		// probe once the overlay maps are materialized, a scan of the
-		// (below-threshold, so small) pending set otherwise.
-		for _, id := range committed {
-			if o.deletes[id] {
-				continue
-			}
-			if _, rewritten := o.writes[id]; rewritten {
-				continue // represented on the overlay side, if it still matches
-			}
-			ids = append(ids, id)
-		}
-		if o.ixw != nil {
-			return mergeSortedIDs(ids, o.pendingIDs(field, want)), nil
-		}
-		for id, pr := range o.writes {
-			if o.deletes[id] {
-				continue
-			}
-			if k, ok2 := keyFor(pr[field]); ok2 && k == want {
-				ids = append(ids, id)
-			}
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		return ids, nil
-	}
-	it := t.iter(0, 0)
-	for id, r := it.next(); id != 0; id, r = it.next() {
-		if o != nil {
-			if o.deletes[id] {
-				continue
-			}
-			if _, rewritten := o.writes[id]; rewritten {
-				continue
-			}
-		}
-		if k, ok2 := keyFor(r[field]); ok2 && k == want {
-			ids = append(ids, id)
-		}
-	}
-	if o != nil {
-		// Unindexed field: the overlay has no key maps for it, so the
-		// pending writes themselves are scanned. Rewritten and inserted
-		// rows were excluded above, so appending every matching pending
-		// write cannot produce duplicates.
-		for id, pr := range o.writes {
-			if o.deletes[id] {
-				continue
-			}
-			if k, ok2 := keyFor(pr[field]); ok2 && k == want {
-				ids = append(ids, id)
-			}
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	}
-	return ids, nil
-}
-
-// mergeSortedIDs merges two ascending id slices into a fresh ascending
-// slice. The inputs are disjoint by construction (committed survivors vs
-// overlay writes), so no dedup pass is needed.
-func mergeSortedIDs(a, b []int64) []int64 {
-	if len(b) == 0 {
-		return a
-	}
-	if len(a) == 0 {
-		return append([]int64(nil), b...)
-	}
-	out := make([]int64, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i] <= b[j] {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
-}
-
-// Find returns copies of all records whose field equals value, in ID order.
-func (tx *Tx) Find(tableName, field string, value any) ([]Record, error) {
-	out, err := tx.FindRef(tableName, field, value)
-	if err != nil {
-		return nil, err
-	}
-	for i, r := range out {
-		out[i] = r.Clone()
-	}
-	return out, nil
-}
-
-// FindRef returns shared references to all records whose field equals value,
-// in ID order. The GetRef aliasing contract applies: the records must not be
-// mutated.
-func (tx *Tx) FindRef(tableName, field string, value any) ([]Record, error) {
-	ids, err := tx.Lookup(tableName, field, value)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Record, 0, len(ids))
-	for _, id := range ids {
-		r, err := tx.GetRef(tableName, id)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
-// First returns a copy of the first record whose field equals value, or
-// ErrNotFound.
-func (tx *Tx) First(tableName, field string, value any) (Record, error) {
-	r, err := tx.FirstRef(tableName, field, value)
-	if err != nil {
-		return nil, err
-	}
-	return r.Clone(), nil
-}
-
-// FirstRef returns a shared reference to the first record whose field equals
-// value, or ErrNotFound. The GetRef aliasing contract applies.
-func (tx *Tx) FirstRef(tableName, field string, value any) (Record, error) {
-	ids, err := tx.Lookup(tableName, field, value)
-	if err != nil {
-		return nil, err
-	}
-	if len(ids) == 0 {
-		return nil, fmt.Errorf("store: %s where %s=%v: %w", tableName, field, value, ErrNotFound)
-	}
-	return tx.GetRef(tableName, ids[0])
 }
 
 // validate implements first-committer-wins conflict detection for

@@ -454,20 +454,14 @@ func TestIndexRebuildAfterRecovery(t *testing.T) {
 	if !errors.Is(err, ErrUnique) {
 		t.Errorf("unique constraint after rebuild: %v", err)
 	}
-	ids, err2 := lookupIDs(s2, "sample", "name", "unique-two")
+	var ids []int64
+	err2 := s2.View(func(tx *Tx) (err error) {
+		ids, err = lookupIDs(tx, "sample", "name", "unique-two")
+		return err
+	})
 	if err2 != nil || len(ids) != 1 || ids[0] != 2 {
 		t.Errorf("rebuilt index lookup = %v, %v", ids, err2)
 	}
-}
-
-func lookupIDs(s *Store, table, field string, value any) ([]int64, error) {
-	var ids []int64
-	err := s.View(func(tx *Tx) error {
-		var err error
-		ids, err = tx.Lookup(table, field, value)
-		return err
-	})
-	return ids, err
 }
 
 func TestWALInspectDir(t *testing.T) {

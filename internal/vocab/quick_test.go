@@ -85,14 +85,17 @@ func TestQuickMergeInvariants(t *testing.T) {
 				seen[key] = true
 			}
 			// Invariant 2: every sample's disease state resolves.
-			return tx.Scan(model.KindSample, func(r store.Record) bool {
-				ds := r.String("disease_state")
+			rows, err := tx.Query(store.Query{Table: model.KindSample})
+			if err != nil {
+				return err
+			}
+			for rows.Next() {
+				ds := rows.Record().String("disease_state")
 				if ds != "" && !sv.Exists(tx, model.VocabDiseaseState, ds) {
 					ok = false
-					return false
 				}
-				return true
-			})
+			}
+			return rows.Err()
 		})
 		return ok
 	}

@@ -159,27 +159,29 @@ func (sv *Service) Get(tx *store.Tx, id int64) (Term, error) {
 
 // Lookup finds a term by vocabulary and (case-insensitive) value.
 func (sv *Service) Lookup(tx *store.Tx, vocabulary, value string) (Term, error) {
-	r, err := tx.FirstRef(termsTable, "key", termKey(vocabulary, value))
+	rows, err := tx.Query(store.Query{Table: termsTable, Where: []store.Pred{store.Eq("key", termKey(vocabulary, value))}, Limit: 1})
 	if err != nil {
 		return Term{}, err
 	}
-	return termFromRecord(r), nil
+	if !rows.Next() {
+		if err := rows.Err(); err != nil {
+			return Term{}, err
+		}
+		return Term{}, fmt.Errorf("vocab: %s term %q: %w", vocabulary, value, store.ErrNotFound)
+	}
+	return termFromRecord(rows.Record()), nil
 }
 
 // Terms returns all terms of a vocabulary, optionally filtered by state
 // (empty state = all), sorted by value. This backs the drop-down menus.
 func (sv *Service) Terms(tx *store.Tx, vocabulary, state string) ([]Term, error) {
-	rs, err := tx.FindRef(termsTable, "vocabulary", vocabulary)
+	where := []store.Pred{store.Eq("vocabulary", vocabulary)}
+	if state != "" {
+		where = append(where, store.Eq("state", state))
+	}
+	out, err := queryTerms(tx, where...)
 	if err != nil {
 		return nil, err
-	}
-	out := make([]Term, 0, len(rs))
-	for _, r := range rs {
-		t := termFromRecord(r)
-		if state != "" && t.State != state {
-			continue
-		}
-		out = append(out, t)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Value < out[j].Value })
 	return out, nil
@@ -188,15 +190,20 @@ func (sv *Service) Terms(tx *store.Tx, vocabulary, state string) ([]Term, error)
 // Pending returns every pending term across all vocabularies — the expert's
 // review queue.
 func (sv *Service) Pending(tx *store.Tx) ([]Term, error) {
-	rs, err := tx.FindRef(termsTable, "state", StatePending)
+	return queryTerms(tx, store.Eq("state", StatePending))
+}
+
+// queryTerms returns the terms matching every predicate, in id order.
+func queryTerms(tx *store.Tx, where ...store.Pred) ([]Term, error) {
+	rows, err := tx.Query(store.Query{Table: termsTable, Where: where})
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Term, 0, len(rs))
-	for _, r := range rs {
-		out = append(out, termFromRecord(r))
+	out := []Term{} // non-nil: the portal encodes an empty list as []
+	for rows.Next() {
+		out = append(out, termFromRecord(rows.Record()))
 	}
-	return out, nil
+	return out, rows.Err()
 }
 
 // Release approves a pending term (Figure 4). Releasing an already-released
@@ -241,14 +248,15 @@ func (sv *Service) Exists(tx *store.Tx, vocabulary, value string) bool {
 // transaction's pinned MVCC version, so bulk term imports never stall a
 // similarity check and vice versa.
 func (sv *Service) Similar(tx *store.Tx, vocabulary, value string) ([]Candidate, error) {
-	rs, err := tx.FindRef(termsTable, "vocabulary", vocabulary)
+	rows, err := tx.Query(store.Query{Table: termsTable, Where: []store.Pred{store.Eq("vocabulary", vocabulary)}})
 	if err != nil {
 		return nil, err
 	}
 	sc := NewScorer(value)
 	norm := strings.ToLower(strings.TrimSpace(value))
 	var out []Candidate
-	for _, r := range rs {
+	for rows.Next() {
+		r := rows.Record()
 		tv := r.String("value")
 		if strings.ToLower(tv) == norm {
 			continue
@@ -263,7 +271,7 @@ func (sv *Service) Similar(tx *store.Tx, vocabulary, value string) ([]Candidate,
 		}
 		return out[i].Term.Value < out[j].Term.Value
 	})
-	return out, nil
+	return out, rows.Err()
 }
 
 // Recommendations returns, for every pending term, its merge candidates.
@@ -354,7 +362,13 @@ func (sv *Service) Merge(tx *store.Tx, actor string, keepID, dropID int64, newVa
 				if old == winnerValue {
 					continue
 				}
-				ids, err := tx.Lookup(kind, f.Name, old)
+				rows, err := tx.Query(store.Query{Table: kind, Where: []store.Pred{store.Eq(f.Name, old)}})
+				if err != nil {
+					return MergeResult{}, err
+				}
+				// Drained before the first Update: the loop rewrites rows
+				// of the table the Rows iterates.
+				ids, err := rows.IDs()
 				if err != nil {
 					return MergeResult{}, err
 				}

@@ -238,9 +238,22 @@ func TestRecommendationsForPendingTerms(t *testing.T) {
 func TestMergeReassociatesSamples(t *testing.T) {
 	// The paper's scenario: samples annotated with the misspelled
 	// "Hopeles" are re-associated to "Hopeless" when the expert merges.
+	// Merge reads the ids to rewrite and then updates rows of the same
+	// table (and their link records) in the same transaction, so it must
+	// drain the query before the first write: the second size runs the
+	// loop well past the store's overlay map-build threshold (16 pending
+	// writes), where a Rows left open over the table would be walking
+	// overlay state the updates are changing.
+	for _, n := range []int{3, 50} {
+		t.Run(fmt.Sprintf("samples=%d", n), func(t *testing.T) { testMergeReassociates(t, n) })
+	}
+}
+
+func testMergeReassociates(t *testing.T, n int) {
 	fx := newFixture(t)
 	var keep, drop Term
 	var misspelled []int64
+	var untouched int64
 	fx.update(t, func(tx *store.Tx) error {
 		var err error
 		keep, err = fx.sv.AddTerm(tx, "alice", model.VocabDiseaseState, "Hopeless", true)
@@ -251,7 +264,7 @@ func TestMergeReassociatesSamples(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		for i := 0; i < 3; i++ {
+		for i := 0; i < n; i++ {
 			id, err := fx.db.CreateSample(tx, "bob", model.Sample{
 				Name: fmt.Sprintf("s%d", i), Project: fx.project, DiseaseState: "Hopeles",
 			})
@@ -261,10 +274,15 @@ func TestMergeReassociatesSamples(t *testing.T) {
 			misspelled = append(misspelled, id)
 		}
 		// One sample with the correct spelling must be untouched.
-		_, err = fx.db.CreateSample(tx, "alice", model.Sample{
+		untouched, err = fx.db.CreateSample(tx, "alice", model.Sample{
 			Name: "ok", Project: fx.project, DiseaseState: "Hopeless",
 		})
 		return err
+	})
+	updates := map[int64]int{}
+	fx.sv.rg.Bus().Subscribe(model.KindSample+".updated", func(ev events.Event) error {
+		updates[ev.ID]++
+		return nil
 	})
 	var res MergeResult
 	fx.update(t, func(tx *store.Tx) error {
@@ -275,11 +293,17 @@ func TestMergeReassociatesSamples(t *testing.T) {
 	if res.Winner.Value != "Hopeless" || res.Winner.State != StateReleased {
 		t.Errorf("winner = %+v", res.Winner)
 	}
-	if res.Reassociated[model.KindSample] != 3 {
+	if res.Reassociated[model.KindSample] != n {
 		t.Errorf("reassociated = %v", res.Reassociated)
+	}
+	if len(updates) != n || updates[untouched] != 0 {
+		t.Errorf("%d samples updated (untouched sample: %d times), want %d and 0", len(updates), updates[untouched], n)
 	}
 	fx.view(t, func(tx *store.Tx) error {
 		for _, id := range misspelled {
+			if updates[id] != 1 {
+				t.Errorf("sample %d re-associated %d times, want exactly once", id, updates[id])
+			}
 			s, err := fx.db.GetSample(tx, id)
 			if err != nil {
 				return err
@@ -287,6 +311,22 @@ func TestMergeReassociatesSamples(t *testing.T) {
 			if s.DiseaseState != "Hopeless" {
 				t.Errorf("sample %d disease_state = %q", id, s.DiseaseState)
 			}
+			// The update re-synced the sample's link records: still one
+			// edge, to its project — none lost, none doubled.
+			out, err := fx.sv.rg.Outgoing(tx, model.KindSample, id)
+			if err != nil {
+				return err
+			}
+			if len(out) != 1 || out[0].ToKind != model.KindProject || out[0].ToID != fx.project {
+				t.Errorf("sample %d outgoing links = %+v, want one edge to project %d", id, out, fx.project)
+			}
+		}
+		in, err := fx.sv.rg.Incoming(tx, model.KindProject, fx.project)
+		if err != nil {
+			return err
+		}
+		if len(in) != n+1 {
+			t.Errorf("project has %d incoming links, want %d", len(in), n+1)
 		}
 		// The losing term is gone.
 		if _, err := fx.sv.Get(tx, drop.ID); !errors.Is(err, store.ErrNotFound) {

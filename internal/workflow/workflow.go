@@ -512,13 +512,13 @@ func (e *Engine) SetVar(tx *store.Tx, id int64, key, value string) error {
 }
 
 func (e *Engine) appendHistory(tx *store.Tx, inst int64, action string, from, to int, actor, note string) error {
-	existing, err := tx.Lookup(histTable, "instance", inst)
+	existing, err := tx.QueryCount(store.Query{Table: histTable, Where: []store.Pred{store.Eq("instance", inst)}})
 	if err != nil {
 		return err
 	}
 	_, err = tx.Insert(histTable, store.Record{
 		"instance": inst,
-		"seq":      int64(len(existing) + 1),
+		"seq":      int64(existing + 1),
 		"action":   action,
 		"from":     int64(from),
 		"to":       int64(to),
@@ -530,12 +530,13 @@ func (e *Engine) appendHistory(tx *store.Tx, inst int64, action string, from, to
 
 // History returns the fired actions of an instance in sequence order.
 func (e *Engine) History(tx *store.Tx, id int64) ([]HistoryEntry, error) {
-	rs, err := tx.Find(histTable, "instance", id)
+	rows, err := tx.Query(store.Query{Table: histTable, Where: []store.Pred{store.Eq("instance", id)}})
 	if err != nil {
 		return nil, err
 	}
-	out := make([]HistoryEntry, 0, len(rs))
-	for _, r := range rs {
+	out := []HistoryEntry{} // non-nil: encoded as [] when empty
+	for rows.Next() {
+		r := rows.Record()
 		out = append(out, HistoryEntry{
 			ID: r.ID(), Instance: r.Int("instance"), Seq: r.Int("seq"),
 			Action: r.String("action"), FromStep: int(r.Int("from")),
@@ -544,17 +545,25 @@ func (e *Engine) History(tx *store.Tx, id int64) ([]HistoryEntry, error) {
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out, nil
+	return out, rows.Err()
 }
 
 // ActiveInstances returns the ids of all active instances, for the admin
 // workflow-management screens.
 func (e *Engine) ActiveInstances(tx *store.Tx) ([]int64, error) {
-	return tx.Lookup(instTable, "state", StateActive)
+	return instancesIn(tx, StateActive)
 }
 
 // FailedInstances returns the ids of failed instances, for the admin error
 // management screen.
 func (e *Engine) FailedInstances(tx *store.Tx) ([]int64, error) {
-	return tx.Lookup(instTable, "state", StateFailed)
+	return instancesIn(tx, StateFailed)
+}
+
+func instancesIn(tx *store.Tx, state string) ([]int64, error) {
+	rows, err := tx.Query(store.Query{Table: instTable, Where: []store.Pred{store.Eq("state", state)}})
+	if err != nil {
+		return nil, err
+	}
+	return rows.IDs()
 }
