@@ -7,6 +7,7 @@ package repro_test
 
 import (
 	"fmt"
+	"io"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -716,7 +717,8 @@ func BenchmarkD1_DurableRegisterSample(b *testing.B) {
 // load + WAL replay + index-free arming) of a generated FGCZ-shaped
 // population, both from a pure WAL (worst case: every commit replayed)
 // and from a compacted snapshot (the state bfabric-admin snapshot leaves
-// behind).
+// behind), and the write side of that snapshot: Save of the recovered
+// population to io.Discard.
 func BenchmarkD2_Recovery(b *testing.B) {
 	const scale = 0.1 // ~7.6k entities, ~4.7k annotation links
 	build := func(b *testing.B, compact bool) string {
@@ -763,6 +765,20 @@ func BenchmarkD2_Recovery(b *testing.B) {
 			}
 		})
 	}
+	b.Run("snapshot-write", func(b *testing.B) {
+		s, err := store.Open(build(b, true), store.DurabilityOptions{Sync: store.SyncOff, SnapshotEvery: -1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer s.Close()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := s.Save(io.Discard); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // --- Q1/Q2/Q3: declarative query engine ------------------------------------------

@@ -488,8 +488,9 @@ func (f *Follower) applyError(err error) error {
 }
 
 // receiveSnapshot streams snapshot chunks into ResetFromSnapshot. The
-// decode runs concurrently off an io.Pipe so the whole snapshot is never
-// buffered in memory.
+// decode runs concurrently off an io.Pipe and installs each frame's rows
+// as it arrives, and the primary encodes frame by frame from its pinned
+// version, so neither end ever holds the encoded snapshot in memory.
 func (f *Follower) receiveSnapshot(conn net.Conn, br *bufio.Reader, seq uint64, p *progress) error {
 	pr, pw := io.Pipe()
 	type result struct {

@@ -28,8 +28,10 @@ import (
 const (
 	// protoMagic opens both hello messages; the trailing digits version
 	// the protocol. v2 added the replication epoch to both directions of
-	// the handshake and a status byte to the reply (fencing).
-	protoMagic = "BFREPL02"
+	// the handshake and a status byte to the reply (fencing); v3 ships
+	// snapshots as WAL frames instead of gob, so peers of different
+	// versions refuse each other here rather than fail every resync.
+	protoMagic = "BFREPL03"
 
 	// helloSize is the follower's hello: magic, last applied seq,
 	// replication epoch, flags.

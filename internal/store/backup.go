@@ -17,8 +17,8 @@ import (
 //   - WAL segments are copied first, oldest to newest. A segment removed
 //     underfoot (background truncation) is skipped: truncation only ever
 //     happens after a snapshot covering it has been renamed into place.
-//   - snapshot.gob is copied LAST. Whatever frames were skipped or
-//     half-copied before it are therefore at or below the copied
+//   - The snapshot file is copied LAST. Whatever WAL frames were skipped
+//     or half-copied before it are therefore at or below the copied
 //     snapshot's seq (replay skips them) or beyond the copied tail
 //     (recovery truncates the torn frame and stops) — either way the
 //     restored state is an exact committed prefix.
@@ -29,8 +29,8 @@ import (
 //
 // If a concurrent snapshot-plus-truncation still manages to interleave so
 // that the copied directory is inconsistent, InspectDir detects it
-// (Damaged or a decode failure) and the copy is retried from scratch, a
-// bounded number of times.
+// (Damaged, or a snapshot that fails its frame checksums or row counts)
+// and the copy is retried from scratch, a bounded number of times.
 //
 // dst must not exist or must be an empty directory. The result describes
 // the backup; restore it with store.Open(dst, ...) or inspect it with

@@ -18,9 +18,9 @@ import (
 // presents a lower epoch and is refused with ErrFencedEpoch instead of
 // silently merging its phantom commits into the new timeline.
 //
-// On disk the epoch lives in two places: inside the snapshot (so a
-// streamed resync or a restored backup adopts the epoch of the state it
-// carries) and in a dedicated EPOCH file written by AdvanceEpoch (so a
+// On disk the epoch lives in two places: in the snapshot's header frame
+// (so a streamed resync or a restored backup adopts the epoch of the
+// state it carries) and in a dedicated EPOCH file written by AdvanceEpoch (so a
 // promotion is durable immediately, without rewriting a possibly-large
 // snapshot). Open restores the maximum of the two.
 

@@ -2,7 +2,6 @@ package store
 
 import (
 	"bufio"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -166,7 +165,7 @@ func (s *Store) replaySegment(seg walSegment, last bool) error {
 		return nil
 	}
 
-	fr, err := newWALFrameReader(f, false)
+	fr, err := newWALFrameReader(f, walMagic)
 	if err != nil {
 		var tfe *tornFrameError
 		if errors.As(err, &tfe) {
@@ -219,21 +218,20 @@ func (s *Store) replaySegment(seg walSegment, last bool) error {
 			return fmt.Errorf("store: wal gap: have seq %d, next record is %d: %w",
 				seq, rec.Seq, ErrCorrupt)
 		}
-		if err := s.applyWALRecord(rec); err != nil {
+		if err := applyWALRecord(s.current.Load(), rec); err != nil {
 			return err
 		}
 	}
 }
 
-// applyWALRecord installs one replayed commit, mirroring the commit-time
-// apply order (per table: deletions, then whole-record writes) and
-// maintaining whatever indexes the snapshot carried. Record slots are
-// stamped with the replayed commit's sequence so that conflict detection
-// resumes correctly across restarts. Only called during Open, while the
-// current version is still private to this goroutine and may be mutated
-// in place.
-func (s *Store) applyWALRecord(rec walRecord) error {
-	v := s.current.Load()
+// applyWALRecord installs one decoded record IN PLACE into v, mirroring
+// the commit-time apply order (per table: deletions, then whole-record
+// writes) and maintaining whatever indexes v's tables carry. Record slots
+// are stamped with the record's sequence so that conflict detection
+// resumes correctly across restarts. It is the one install path of both
+// WAL replay and snapshot load (readSnapshot), and v must be private to
+// the caller: the current version during Open, or a version being built.
+func applyWALRecord(v *version, rec walRecord) error {
 	for _, tc := range rec.Tables {
 		t, ok := v.tables[tc.Name]
 		if !ok {
@@ -252,25 +250,21 @@ func (s *Store) applyWALRecord(rec walRecord) error {
 		// old entries of every rewritten row, then insert — a
 		// unique-value swap within one transaction must replay exactly
 		// as it committed.
-		for _, rs := range tc.Writes {
-			if old := t.get(rs.ID); old != nil {
+		for _, r := range tc.Writes {
+			if old := t.get(r.ID()); old != nil {
 				for _, ix := range t.indexes {
-					ix.remove(old, rs.ID)
+					ix.remove(old, r.ID())
 				}
 			}
 		}
-		for _, rs := range tc.Writes {
-			r := make(Record, len(rs.Fields)+1)
-			r[IDField] = rs.ID
-			for _, fs := range rs.Fields {
-				r[fs.Key] = fs.decode()
-			}
+		for _, r := range tc.Writes {
+			id := r.ID()
 			for _, ix := range t.indexes {
-				if err := ix.insert(r, rs.ID); err != nil {
-					return fmt.Errorf("store: replaying %s/%d: %v: %w", tc.Name, rs.ID, err, ErrCorrupt)
+				if err := ix.insert(r, id); err != nil {
+					return fmt.Errorf("store: replaying %s/%d: %v: %w", tc.Name, id, err, ErrCorrupt)
 				}
 			}
-			t.put(rs.ID, r, rec.Seq)
+			t.put(id, r, rec.Seq)
 		}
 		if tc.NextID > t.nextID {
 			t.nextID = tc.NextID
@@ -335,7 +329,7 @@ func (s *Store) Snapshot() error {
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
 
-	seq, err := s.writeSnapshotFile(filepath.Join(s.dir, snapshotFile))
+	seq, err := s.writeSnapshotFile(filepath.Join(s.dir, snapshotFile), s.current.Load(), s.epoch.Load())
 	if err != nil {
 		s.degradeIfNoSpace(err)
 		return err
@@ -476,22 +470,17 @@ func InspectDir(dir string) (*DirInfo, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Decode only the metadata fields: gob skips fields absent from
-		// the destination, so the table data is never materialized —
-		// inspection stays cheap at deployment scale.
-		var hdr struct {
-			Version int
-			Seq     uint64
-			Epoch   uint64
-		}
-		err = gob.NewDecoder(f).Decode(&hdr)
+		// The whole snapshot is decoded, not just its header frame: only
+		// the header's row counts, met by the chunks, prove the file
+		// complete — which is what a backup is verified for.
+		v, epoch, err := readSnapshot(f)
 		f.Close()
 		if err != nil {
-			return nil, fmt.Errorf("store: decoding snapshot: %w", err)
+			return nil, err
 		}
-		info.SnapshotSeq = hdr.Seq
-		info.LastSeq = hdr.Seq
-		info.Epoch = hdr.Epoch
+		info.SnapshotSeq = v.seq
+		info.LastSeq = v.seq
+		info.Epoch = epoch
 	} else if !os.IsNotExist(err) {
 		return nil, err
 	}
@@ -524,7 +513,7 @@ func InspectDir(dir string) (*DirInfo, error) {
 		if err != nil {
 			return nil, err
 		}
-		fr, err := newWALFrameReader(f, false)
+		fr, err := newWALFrameReader(f, walMagic)
 		if err != nil {
 			si.Torn = true
 		} else {

@@ -2,7 +2,6 @@ package store
 
 import (
 	"bufio"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"os"
@@ -214,7 +213,7 @@ func (s *Store) WALFrames(fromSeq uint64, fn func(seq uint64, payload []byte) er
 // frames are delivered and reports stop=true on a torn/partial tail
 // (end of the readable log).
 func walFramesSegment(f File, from uint64, next *uint64, fn func(seq uint64, payload []byte) error) (stop bool, err error) {
-	fr, err := newWALFrameReader(f, false)
+	fr, err := newWALFrameReader(f, walMagic)
 	if err != nil {
 		// An unreadable header can only be a segment created mid-crash
 		// (or under a concurrent reset); nothing to stream from it.
@@ -325,13 +324,8 @@ func (s *Store) ApplyReplicated(payload []byte) (uint64, error) {
 		}
 		if len(tc.Writes) > 0 {
 			o.writes = make(map[int64]Record, len(tc.Writes))
-			for _, rs := range tc.Writes {
-				r := make(Record, len(rs.Fields)+1)
-				r[IDField] = rs.ID
-				for _, fs := range rs.Fields {
-					r[fs.Key] = fs.decode()
-				}
-				o.writes[rs.ID] = r
+			for _, r := range tc.Writes {
+				o.writes[r.ID()] = r
 			}
 		}
 		pending[tc.Name] = o
@@ -367,7 +361,7 @@ func (s *Store) ApplyReplicated(payload []byte) (uint64, error) {
 // so the serialization races with nothing; shippers use this to stream a
 // consistent snapshot to a joining follower while commits continue.
 func (s *Store) PinnedSnapshot() (uint64, func(io.Writer) error) {
-	v, epoch := s.freeze(), s.epoch.Load()
+	v, epoch := s.current.Load(), s.epoch.Load()
 	return v.seq, func(w io.Writer) error {
 		_, err := writeSnapshotVersion(v, epoch, w)
 		return err
@@ -390,20 +384,9 @@ func (s *Store) PinnedSnapshot() (uint64, func(io.Writer) error) {
 // store: a replica that cannot persist its resync must refuse further
 // replication rather than silently diverge after a restart.
 func (s *Store) ResetFromSnapshot(r io.Reader) (uint64, error) {
-	var snap snapshot
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
-		return 0, fmt.Errorf("store: decoding snapshot: %v: %w", err, ErrCorrupt)
-	}
-	if snap.Version != 1 {
-		return 0, fmt.Errorf("store: unsupported snapshot version %d", snap.Version)
-	}
-	nv, err := buildSnapshotVersion(&snap)
+	nv, snapEpoch, err := readSnapshot(r)
 	if err != nil {
 		return 0, err
-	}
-	snapEpoch := snap.Epoch
-	if snapEpoch == 0 {
-		snapEpoch = 1 // pre-epoch snapshot
 	}
 	// Lock order: snapMu before writeMu mirrors no existing path (Snapshot
 	// takes snapMu alone; commits take writeMu alone) so no cycle is
@@ -427,11 +410,11 @@ func (s *Store) ResetFromSnapshot(r io.Reader) (uint64, error) {
 		return 0, &FencedEpochError{Local: cur, Remote: snapEpoch}
 	}
 	if s.wal != nil {
-		if err := s.wal.reset(snap.Seq); err != nil {
+		if err := s.wal.reset(nv.seq); err != nil {
 			s.degrade(err)
 			return 0, fmt.Errorf("store: resetting wal for snapshot resync: %w", err)
 		}
-		if _, err := s.writeVersionSnapshotFile(filepath.Join(s.dir, snapshotFile), nv, snapEpoch); err != nil {
+		if _, err := s.writeSnapshotFile(filepath.Join(s.dir, snapshotFile), nv, snapEpoch); err != nil {
 			s.degrade(err)
 			return 0, fmt.Errorf("store: persisting resync snapshot: %w", err)
 		}
@@ -441,7 +424,7 @@ func (s *Store) ResetFromSnapshot(r io.Reader) (uint64, error) {
 	// Frame subscribers were promised a gapless feed from their cut; a
 	// reset moves the head wholesale, so drop them and let them re-cut.
 	s.closeSubsLocked()
-	return snap.Seq, nil
+	return nv.seq, nil
 }
 
 // reset discards the whole log and starts a fresh segment based just

@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-func newTestStore(t *testing.T, tables ...string) *Store {
+func newTestStore(t testing.TB, tables ...string) *Store {
 	t.Helper()
 	s := New()
 	for _, name := range tables {
@@ -17,7 +17,7 @@ func newTestStore(t *testing.T, tables ...string) *Store {
 	return s
 }
 
-func mustInsert(t *testing.T, s *Store, table string, r Record) int64 {
+func mustInsert(t testing.TB, s *Store, table string, r Record) int64 {
 	t.Helper()
 	var id int64
 	err := s.Update(func(tx *Tx) error {

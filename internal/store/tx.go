@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 )
@@ -719,29 +720,15 @@ func (tx *Tx) encodeWALPayload(base *version) ([]byte, uint64, error) {
 				ids = append(ids, id)
 			}
 			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-			keys := make([]string, 0, 16)
 			for _, id := range ids {
-				r := o.writes[id]
-				buf = appendI64(buf, id)
-				keys = keys[:0]
-				for k := range r {
-					if k == IDField {
-						continue
-					}
-					keys = append(keys, k)
-				}
-				sort.Strings(keys)
-				buf = appendU32(buf, uint32(len(keys)))
 				var err error
-				for _, k := range keys {
-					if buf, err = appendValue(buf, k, r[k]); err != nil {
-						return nil, 0, err
-					}
+				if buf, err = appendRow(buf, id, o.writes[id]); err != nil {
+					return nil, 0, err
 				}
 			}
 		}
 	}
-	binaryPutU32(buf[countOff:], nTables)
+	binary.LittleEndian.PutUint32(buf[countOff:], nTables)
 	s.walEncBuf = buf // keep the grown capacity for the next commit
 	if nTables == 0 {
 		return nil, 0, nil

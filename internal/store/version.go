@@ -12,8 +12,9 @@ import (
 // sharing every untouched structure.
 //
 // A version is never mutated once it has been published through
-// Store.current — with two deliberate exceptions, recovery and Load, which
-// build a version that is not yet shared with any reader. Everything a
+// Store.current. The one in-place path, applyWALRecord, serves WAL replay
+// during Open and snapshot load (readSnapshot), and both run it on a
+// version not yet shared with any reader. Everything a
 // reader can reach from a pinned version (tables, chunks, index postings,
 // record maps) is therefore a stable snapshot for as long as the reader
 // holds the pointer; abandoned versions are reclaimed by the garbage
@@ -125,7 +126,7 @@ func (t *table) seqOf(id int64) uint64 {
 }
 
 // put installs a record IN PLACE, growing the chunk slice as needed.
-// Only legal on tables not yet reachable by readers (recovery, Load).
+// Only legal on tables not yet reachable by readers (applyWALRecord).
 func (t *table) put(id int64, rec Record, seq uint64) {
 	ci, si := chunkPos(id)
 	for ci >= len(t.chunks) {
@@ -144,7 +145,7 @@ func (t *table) put(id int64, rec Record, seq uint64) {
 }
 
 // del removes a record IN PLACE, leaving a tombstone seq stamp. Only
-// legal on tables not yet reachable by readers (recovery, Load).
+// legal on tables not yet reachable by readers (applyWALRecord).
 func (t *table) del(id int64, seq uint64) {
 	ci, si := chunkPos(id)
 	if ci >= len(t.chunks) || t.chunks[ci] == nil {

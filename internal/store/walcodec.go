@@ -1,18 +1,17 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 )
 
-// WAL frame payload codec. The payload reuses the typed fieldSnapshot
-// model of persist.go but serializes it with a hand-rolled little-endian
-// binary layout instead of gob: a self-contained gob stream re-sends its
-// type descriptors in every frame and pays reflection on both sides,
-// which at one frame per commit made encoding the dominant cost of the
-// whole durable write path. The layout:
+// The store's one payload codec: every WAL frame, every replicated frame
+// and every snapshot chunk (persist.go) is a walRecord in this hand-rolled
+// little-endian layout. The layout:
 //
 //	payload   := seq u64, nTables u32, table...
 //	table     := name str, nextID i64, nDeletes u32, i64...,
@@ -22,24 +21,30 @@ import (
 //	value     := kindString     str
 //	           | kindInt        i64
 //	           | kindFloat      u64 (IEEE 754 bits)
-//	           | kindBool       u8
+//	           | kindBool       u8 (0 or 1)
 //	           | kindTime       bytes (time.Time MarshalBinary)
 //	           | kindIntList    u32 n, n×i64
 //	           | kindStringList u32 n, n×str
 //	str/bytes := u32 len, len bytes
 //
-// Decoding is strict: trailing garbage, truncation and unknown kinds are
-// errors, so a frame that passes its CRC but not the codec is handled as
-// corruption by the caller.
+// Decoding is strict: trailing garbage, truncation, unknown kinds, keys
+// out of ascending order (or IDField, which id carries) and any value the
+// encoder would have written differently are errors, so a frame that
+// passes its CRC but not the codec is handled as corruption by the
+// caller, and a payload that decodes re-encodes to the same bytes.
+
+const (
+	kindString uint8 = iota
+	kindInt
+	kindFloat
+	kindBool
+	kindTime
+	kindIntList
+	kindStringList
+)
 
 func appendU32(b []byte, v uint32) []byte {
 	return binary.LittleEndian.AppendUint32(b, v)
-}
-
-// binaryPutU32 patches a u32 in place (e.g. a count written before its
-// elements).
-func binaryPutU32(b []byte, v uint32) {
-	binary.LittleEndian.PutUint32(b, v)
 }
 
 func appendU64(b []byte, v uint64) []byte {
@@ -55,14 +60,39 @@ func appendStr(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-func appendBytes(b []byte, p []byte) []byte {
-	b = appendU32(b, uint32(len(p)))
-	return append(b, p...)
+func appendBool(b []byte, v bool) []byte {
+	if v {
+		return append(b, 1)
+	}
+	return append(b, 0)
 }
 
-// appendValue encodes one live record value (not yet a fieldSnapshot) in
-// the field layout. Mirrors encodeField's type switch; unsupported types
-// cannot reach here because Insert/Put validate on the way in.
+// appendRow encodes one live record in the write layout: id, field count,
+// then the fields in ascending key order (IDField is carried by id).
+// Shared by the commit path (Tx.encodeWALPayload) and the snapshot writer.
+func appendRow(buf []byte, id int64, r Record) ([]byte, error) {
+	var scratch [32]string // sorts typical records without allocating
+	ks := scratch[:0]
+	for k := range r {
+		if k != IDField {
+			ks = append(ks, k)
+		}
+	}
+	slices.Sort(ks)
+	buf = appendI64(buf, id)
+	buf = appendU32(buf, uint32(len(ks)))
+	for _, k := range ks {
+		var err error
+		if buf, err = appendValue(buf, k, r[k]); err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
+}
+
+// appendValue encodes one live record value in the field layout.
+// Unsupported types cannot reach here because Insert/Put validate on the
+// way in.
 func appendValue(buf []byte, key string, v any) ([]byte, error) {
 	buf = appendStr(buf, key)
 	switch x := v.(type) {
@@ -77,18 +107,16 @@ func appendValue(buf []byte, key string, v any) ([]byte, error) {
 		buf = appendU64(buf, math.Float64bits(x))
 	case bool:
 		buf = append(buf, kindBool)
-		if x {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
+		buf = appendBool(buf, x)
 	case time.Time:
 		buf = append(buf, kindTime)
-		tb, err := x.MarshalBinary()
-		if err != nil {
+		lenOff := len(buf)
+		buf = appendU32(buf, 0) // length, patched below
+		var err error
+		if buf, err = x.AppendBinary(buf); err != nil {
 			return nil, fmt.Errorf("store: encoding time field %q: %w", key, err)
 		}
-		buf = appendBytes(buf, tb)
+		binary.LittleEndian.PutUint32(buf[lenOff:], uint32(len(buf)-lenOff-4))
 	case []int64:
 		buf = append(buf, kindIntList)
 		buf = appendU32(buf, uint32(len(x)))
@@ -107,73 +135,80 @@ func appendValue(buf []byte, key string, v any) ([]byte, error) {
 	return buf, nil
 }
 
-// walDecoder is a bounds-checked cursor over one frame payload.
+// walDecoder is a bounds-checked cursor over one frame payload. The first
+// failure sticks: every later read returns a zero value, so a decoder
+// checks err once, after its last read.
 type walDecoder struct {
 	b   []byte
 	off int
+	err error
 }
 
 var errWALDecode = fmt.Errorf("malformed wal payload")
 
-func (d *walDecoder) u8() (byte, error) {
-	if d.off+1 > len(d.b) {
-		return 0, errWALDecode
+func (d *walDecoder) fail() {
+	if d.err == nil {
+		d.err = errWALDecode
 	}
-	v := d.b[d.off]
-	d.off++
-	return v, nil
 }
 
-func (d *walDecoder) u32() (uint32, error) {
-	if d.off+4 > len(d.b) {
-		return 0, errWALDecode
+// take returns the next n bytes, or nil once the decoder has failed.
+func (d *walDecoder) take(n int) []byte {
+	if d.err != nil || n < 0 || n > len(d.b)-d.off {
+		d.fail()
+		return nil
 	}
-	v := binary.LittleEndian.Uint32(d.b[d.off:])
-	d.off += 4
-	return v, nil
+	v := d.b[d.off : d.off+n]
+	d.off += n
+	return v
 }
 
-func (d *walDecoder) u64() (uint64, error) {
-	if d.off+8 > len(d.b) {
-		return 0, errWALDecode
+// fixed reads an n-byte (n <= 8) little-endian unsigned integer.
+func (d *walDecoder) fixed(n int) uint64 {
+	var b [8]byte
+	copy(b[:], d.take(n))
+	return binary.LittleEndian.Uint64(b[:])
+}
+
+func (d *walDecoder) u8() byte { return byte(d.fixed(1)) }
+
+func (d *walDecoder) u32() uint32 { return uint32(d.fixed(4)) }
+
+func (d *walDecoder) u64() uint64 { return d.fixed(8) }
+
+func (d *walDecoder) i64() int64 { return int64(d.u64()) }
+
+func (d *walDecoder) bytes() []byte { return d.take(int(d.u32())) }
+
+func (d *walDecoder) str() string { return string(d.bytes()) }
+
+// boolean reads a u8 that must be 0 or 1.
+func (d *walDecoder) boolean() bool {
+	b := d.u8()
+	if b > 1 {
+		d.fail()
 	}
-	v := binary.LittleEndian.Uint64(d.b[d.off:])
-	d.off += 8
-	return v, nil
-}
-
-func (d *walDecoder) i64() (int64, error) {
-	v, err := d.u64()
-	return int64(v), err
-}
-
-func (d *walDecoder) bytes() ([]byte, error) {
-	n, err := d.u32()
-	if err != nil || d.off+int(n) > len(d.b) {
-		return nil, errWALDecode
-	}
-	v := d.b[d.off : d.off+int(n)]
-	d.off += int(n)
-	return v, nil
-}
-
-func (d *walDecoder) str() (string, error) {
-	v, err := d.bytes()
-	return string(v), err
+	return b == 1
 }
 
 // count reads a u32 length and sanity-checks it against the bytes left:
-// every counted element occupies at least min bytes, so a count larger
-// than remaining/min is corruption, not an allocation request.
-func (d *walDecoder) count(min int) (int, error) {
-	n, err := d.u32()
-	if err != nil {
-		return 0, err
+// every counted element occupies at least min (> 0) bytes, so a count
+// larger than remaining/min is corruption, not an allocation request.
+func (d *walDecoder) count(min int) int {
+	n := int(d.u32())
+	if d.err != nil || n > (len(d.b)-d.off)/min {
+		d.fail()
+		return 0
 	}
-	if min > 0 && int(n) > (len(d.b)-d.off)/min {
-		return 0, errWALDecode
+	return n
+}
+
+// done reports the decoder's error, counting unread bytes as one.
+func (d *walDecoder) done() error {
+	if d.err == nil && d.off != len(d.b) {
+		d.err = fmt.Errorf("%w: %d trailing bytes", errWALDecode, len(d.b)-d.off)
 	}
-	return int(n), nil
+	return d.err
 }
 
 // walRecordSeq reads only the commit seq of a payload — its leading u64 —
@@ -185,132 +220,87 @@ func walRecordSeq(payload []byte) (uint64, bool) {
 	return binary.LittleEndian.Uint64(payload), true
 }
 
-// decodeWALRecord parses a payload produced by encodeWALRecord.
+// decodeWALRecord parses a payload produced by Tx.encodeWALPayload or the
+// snapshot writer. Each write decodes straight into a fresh Record, id
+// included, ready to install.
 func decodeWALRecord(payload []byte) (walRecord, error) {
 	d := &walDecoder{b: payload}
-	var rec walRecord
-	var err error
-	fail := func(e error) (walRecord, error) {
-		return walRecord{}, fmt.Errorf("store: %w", e)
+	rec := walRecord{Seq: d.u64()}
+	if n := d.count(20); n > 0 {
+		rec.Tables = make([]walTableChange, n)
 	}
-	if rec.Seq, err = d.u64(); err != nil {
-		return fail(err)
-	}
-	nTables, err := d.count(4)
-	if err != nil {
-		return fail(err)
-	}
-	if nTables > 0 {
-		rec.Tables = make([]walTableChange, 0, nTables)
-	}
-	for ti := 0; ti < nTables; ti++ {
-		var tc walTableChange
-		if tc.Name, err = d.str(); err != nil {
-			return fail(err)
+	for i := range rec.Tables {
+		tc := &rec.Tables[i]
+		tc.Name = d.str()
+		tc.NextID = d.i64()
+		if n := d.count(8); n > 0 {
+			tc.Deletes = make([]int64, n)
+			for j := range tc.Deletes {
+				tc.Deletes[j] = d.i64()
+			}
 		}
-		if tc.NextID, err = d.i64(); err != nil {
-			return fail(err)
+		if n := d.count(12); n > 0 {
+			tc.Writes = make([]Record, n)
 		}
-		nDel, err := d.count(8)
-		if err != nil {
-			return fail(err)
-		}
-		if nDel > 0 {
-			tc.Deletes = make([]int64, nDel)
-			for i := range tc.Deletes {
-				if tc.Deletes[i], err = d.i64(); err != nil {
-					return fail(err)
+		for j := range tc.Writes {
+			id := d.i64()
+			n := d.count(5)
+			r := make(Record, n+1)
+			r[IDField] = id
+			prev := ""
+			for k := 0; k < n; k++ {
+				key, v := d.field()
+				if key == IDField || (k > 0 && key <= prev) {
+					d.fail()
 				}
+				r[key], prev = v, key
 			}
+			tc.Writes[j] = r
 		}
-		nWr, err := d.count(12)
-		if err != nil {
-			return fail(err)
-		}
-		if nWr > 0 {
-			tc.Writes = make([]rowSnapshot, 0, nWr)
-		}
-		for wi := 0; wi < nWr; wi++ {
-			var rs rowSnapshot
-			if rs.ID, err = d.i64(); err != nil {
-				return fail(err)
-			}
-			nF, err := d.count(5)
-			if err != nil {
-				return fail(err)
-			}
-			if nF > 0 {
-				rs.Fields = make([]fieldSnapshot, 0, nF)
-			}
-			for fi := 0; fi < nF; fi++ {
-				fs, err := decodeField(d)
-				if err != nil {
-					return fail(err)
-				}
-				rs.Fields = append(rs.Fields, fs)
-			}
-			tc.Writes = append(tc.Writes, rs)
-		}
-		rec.Tables = append(rec.Tables, tc)
 	}
-	if d.off != len(d.b) {
-		return fail(fmt.Errorf("%w: %d trailing bytes", errWALDecode, len(d.b)-d.off))
+	if err := d.done(); err != nil {
+		return walRecord{}, fmt.Errorf("store: %w", err)
 	}
 	return rec, nil
 }
 
-func decodeField(d *walDecoder) (fieldSnapshot, error) {
-	var fs fieldSnapshot
-	var err error
-	if fs.Key, err = d.str(); err != nil {
-		return fs, err
-	}
-	if fs.Kind, err = d.u8(); err != nil {
-		return fs, err
-	}
-	switch fs.Kind {
+// field decodes one key and its typed value.
+func (d *walDecoder) field() (string, any) {
+	key := d.str()
+	switch d.u8() {
 	case kindString:
-		fs.S, err = d.str()
+		return key, d.str()
 	case kindInt:
-		fs.I, err = d.i64()
+		return key, d.i64()
 	case kindFloat:
-		var bits uint64
-		bits, err = d.u64()
-		fs.F = math.Float64frombits(bits)
+		return key, math.Float64frombits(d.u64())
 	case kindBool:
-		var b byte
-		b, err = d.u8()
-		fs.B = b != 0
+		return key, d.boolean()
 	case kindTime:
-		var tb []byte
-		if tb, err = d.bytes(); err == nil {
-			var t time.Time
-			if err = t.UnmarshalBinary(tb); err == nil {
-				fs.T = t
-			}
+		// Only the encoding the writer produces is accepted: a time that
+		// would re-encode differently is not a payload we wrote.
+		tb := d.bytes()
+		var t time.Time
+		var canon [16]byte
+		if d.err != nil || t.UnmarshalBinary(tb) != nil {
+			d.fail()
+		} else if cb, err := t.AppendBinary(canon[:0]); err != nil || !bytes.Equal(cb, tb) {
+			d.fail()
 		}
+		return key, t
 	case kindIntList:
-		var n int
-		if n, err = d.count(8); err == nil {
-			fs.LI = make([]int64, n)
-			for i := range fs.LI {
-				if fs.LI[i], err = d.i64(); err != nil {
-					break
-				}
-			}
+		l := make([]int64, d.count(8))
+		for i := range l {
+			l[i] = d.i64()
 		}
+		return key, l
 	case kindStringList:
-		var n int
-		if n, err = d.count(4); err == nil {
-			fs.LS = make([]string, n)
-			for i := range fs.LS {
-				if fs.LS[i], err = d.str(); err != nil {
-					break
-				}
-			}
+		l := make([]string, d.count(4))
+		for i := range l {
+			l[i] = d.str()
 		}
-	default:
-		err = fmt.Errorf("%w: unknown field kind %d", errWALDecode, fs.Kind)
+		return key, l
 	}
-	return fs, err
+	d.fail()
+	return key, nil
 }

@@ -19,17 +19,11 @@ func TestWALCodecRoundTrip(t *testing.T) {
 				Name:    "sample",
 				NextID:  17,
 				Deletes: []int64{3, 9},
-				Writes: []rowSnapshot{
-					{ID: 5, Fields: []fieldSnapshot{
-						{Key: "name", Kind: kindString, S: "arabidopsis"},
-						{Key: "count", Kind: kindInt, I: -12},
-						{Key: "ratio", Kind: kindFloat, F: 0.25},
-						{Key: "active", Kind: kindBool, B: true},
-						{Key: "created", Kind: kindTime, T: when},
-						{Key: "extracts", Kind: kindIntList, LI: []int64{1, 2, 3}},
-						{Key: "tags", Kind: kindStringList, LS: []string{"a", ""}},
-					}},
-				},
+				Writes: []Record{{
+					IDField: int64(5), "name": "arabidopsis", "count": int64(-12),
+					"ratio": 0.25, "active": true, "created": when,
+					"extracts": []int64{1, 2, 3}, "tags": []string{"a", ""},
+				}},
 			},
 			{Name: "empty-change", NextID: 99},
 		},
@@ -101,13 +95,8 @@ func TestQuickWALCodec(t *testing.T) {
 		rec := walRecord{
 			Seq: seq,
 			Tables: []walTableChange{{
-				Name: name,
-				Writes: []rowSnapshot{{ID: ival, Fields: []fieldSnapshot{
-					{Key: "s", Kind: kindString, S: sval},
-					{Key: "i", Kind: kindInt, I: ival},
-					{Key: "f", Kind: kindFloat, F: fval},
-					{Key: "b", Kind: kindBool, B: bval},
-				}}},
+				Name:   name,
+				Writes: []Record{{IDField: ival, "s": sval, "i": ival, "f": fval, "b": bval}},
 			}},
 		}
 		payload, err := encodeWALRecord(rec)
@@ -139,9 +128,9 @@ func TestQuickWALCodec(t *testing.T) {
 
 // encodeWALRecord is the test-only reference encoder: the struct-based
 // counterpart of the production direct-overlay encoder
-// (Tx.encodeWALPayload). It exists to pin the byte layout via
-// TestWALEncoderEquivalence and to build arbitrary records for the codec
-// round-trip tests.
+// (Tx.encodeWALPayload), with its own field encoder. It exists to pin the
+// byte layout via TestWALEncoderEquivalence and to build arbitrary
+// records for the codec round-trip tests.
 func encodeWALRecord(rec walRecord) ([]byte, error) {
 	buf := make([]byte, 0, 256)
 	buf = appendU64(buf, rec.Seq)
@@ -154,12 +143,19 @@ func encodeWALRecord(rec walRecord) ([]byte, error) {
 			buf = appendI64(buf, id)
 		}
 		buf = appendU32(buf, uint32(len(tc.Writes)))
-		for _, rs := range tc.Writes {
-			buf = appendI64(buf, rs.ID)
-			buf = appendU32(buf, uint32(len(rs.Fields)))
-			for _, fs := range rs.Fields {
+		for _, r := range tc.Writes {
+			keys := make([]string, 0, len(r))
+			for k := range r {
+				if k != IDField {
+					keys = append(keys, k)
+				}
+			}
+			sort.Strings(keys)
+			buf = appendI64(buf, r.ID())
+			buf = appendU32(buf, uint32(len(keys)))
+			for _, k := range keys {
 				var err error
-				if buf, err = appendField(buf, fs); err != nil {
+				if buf, err = appendField(buf, k, r[k]); err != nil {
 					return nil, err
 				}
 			}
@@ -168,40 +164,46 @@ func encodeWALRecord(rec walRecord) ([]byte, error) {
 	return buf, nil
 }
 
-func appendField(buf []byte, fs fieldSnapshot) ([]byte, error) {
-	buf = appendStr(buf, fs.Key)
-	buf = append(buf, fs.Kind)
-	switch fs.Kind {
-	case kindString:
-		buf = appendStr(buf, fs.S)
-	case kindInt:
-		buf = appendI64(buf, fs.I)
-	case kindFloat:
-		buf = appendU64(buf, math.Float64bits(fs.F))
-	case kindBool:
-		if fs.B {
+func appendField(buf []byte, key string, v any) ([]byte, error) {
+	buf = appendStr(buf, key)
+	switch x := v.(type) {
+	case string:
+		buf = append(buf, kindString)
+		buf = appendStr(buf, x)
+	case int64:
+		buf = append(buf, kindInt)
+		buf = appendI64(buf, x)
+	case float64:
+		buf = append(buf, kindFloat)
+		buf = appendU64(buf, math.Float64bits(x))
+	case bool:
+		buf = append(buf, kindBool)
+		if x {
 			buf = append(buf, 1)
 		} else {
 			buf = append(buf, 0)
 		}
-	case kindTime:
-		tb, err := fs.T.MarshalBinary()
+	case time.Time:
+		tb, err := x.MarshalBinary()
 		if err != nil {
-			return nil, fmt.Errorf("store: encoding time field %q: %w", fs.Key, err)
+			return nil, fmt.Errorf("store: encoding time field %q: %w", key, err)
 		}
-		buf = appendBytes(buf, tb)
-	case kindIntList:
-		buf = appendU32(buf, uint32(len(fs.LI)))
-		for _, v := range fs.LI {
+		buf = append(buf, kindTime)
+		buf = appendStr(buf, string(tb))
+	case []int64:
+		buf = append(buf, kindIntList)
+		buf = appendU32(buf, uint32(len(x)))
+		for _, v := range x {
 			buf = appendI64(buf, v)
 		}
-	case kindStringList:
-		buf = appendU32(buf, uint32(len(fs.LS)))
-		for _, v := range fs.LS {
+	case []string:
+		buf = append(buf, kindStringList)
+		buf = appendU32(buf, uint32(len(x)))
+		for _, v := range x {
 			buf = appendStr(buf, v)
 		}
 	default:
-		return nil, fmt.Errorf("store: field %q has unknown kind %d: %w", fs.Key, fs.Kind, ErrBadValue)
+		return nil, fmt.Errorf("store: field %q has %T: %w", key, v, ErrBadValue)
 	}
 	return buf, nil
 }
@@ -236,28 +238,54 @@ func (tx *Tx) buildWALRecord() (walRecord, bool, error) {
 		}
 		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 		for _, id := range ids {
-			r := o.writes[id]
-			rs := rowSnapshot{ID: id}
-			keys := make([]string, 0, len(r))
-			for k := range r {
-				if k == IDField {
-					continue
-				}
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			for _, k := range keys {
-				f, err := encodeField(k, r[k])
-				if err != nil {
-					return walRecord{}, false, err
-				}
-				rs.Fields = append(rs.Fields, f)
-			}
-			tc.Writes = append(tc.Writes, rs)
+			tc.Writes = append(tc.Writes, o.writes[id])
 		}
 		if tc.NextID != 0 || len(tc.Deletes) != 0 || len(tc.Writes) != 0 {
 			rec.Tables = append(rec.Tables, tc)
 		}
 	}
 	return rec, len(rec.Tables) != 0, nil
+}
+
+// FuzzDecodeWALRecord: the payload decoder never panics, and whatever it
+// accepts re-encodes byte for byte — decoding is strict enough that one
+// record has exactly one encoding. Seeded from the commit path's own
+// encoder output, as shipped on the commit feed.
+func FuzzDecodeWALRecord(f *testing.F) {
+	s := newTestStore(f, "extract", "sample")
+	sub, err := s.SubscribeCommits(0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	mustInsert(f, s, "sample", Record{
+		"name": "seedling", "n": int64(1), "ratio": 0.5, "ok": true,
+		"when": time.Date(2010, 5, 1, 0, 0, 0, 0, time.UTC), "ids": []int64{4, 5}, "tags": []string{"x", ""},
+	})
+	mustInsert(f, s, "extract", Record{"name": "leaf"})
+	if err := s.Update(func(tx *Tx) error {
+		if err := tx.Put("sample", 1, Record{"name": "rewritten"}); err != nil {
+			return err
+		}
+		return tx.Delete("extract", 1)
+	}); err != nil {
+		f.Fatal(err)
+	}
+	sub.Cancel()
+	for fr := range sub.C {
+		f.Add(fr.Payload)
+	}
+
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		rec, err := decodeWALRecord(payload)
+		if err != nil {
+			return
+		}
+		out, err := encodeWALRecord(rec)
+		if err != nil {
+			t.Fatalf("decoded record does not re-encode: %v", err)
+		}
+		if !reflect.DeepEqual(out, payload) {
+			t.Fatalf("accepted payload re-encodes differently:\n in  %x\n out %x", payload, out)
+		}
+	})
 }
