@@ -36,15 +36,16 @@ test-faults:
 # The replication chaos campaign, exhaustive: every fault point on the
 # follower replay path (BFABRIC_FAULTS=full), the kill -9 follower
 # convergence test, the Query{Cursor} pagination stress on a live follower,
-# the follower durability contract (group-sync fsync counts, power-cut
-# recovery of every reported lastApplied, durable-only shipping), and
-# the online-backup round trips — all under the race detector. The
+# the follower durability contract (group-sync fsync and version counts,
+# power-cut recovery of every reported lastApplied, durable-only
+# shipping), the batched-apply equivalence and error-semantics tests,
+# and the online-backup round trips — all under the race detector. The
 # deterministic subsets of these already run inside `make test`/`make
 # verify`; this target buys the full sweep. Seed the fault-mode shuffle
 # with BFABRIC_FAULT_SEED=n for a reproducible run.
 test-repl:
 	BFABRIC_FAULTS=full go test -race -count=1 \
-		-run 'TestFollowerFaultCampaign|TestKillNineFollowerConvergence|TestFollowerScanPaginationStress|TestDivergenceResync|TestBackup|TestFollowerGroupSync|TestFrameThenHeartbeatInOneRead|TestFollowerCrashKeepsReportedPrefix|TestPromoteDuringBurstIsDurable|TestCatchUpShipsOnlyDurable' \
+		-run 'TestFollowerFaultCampaign|TestKillNineFollowerConvergence|TestFollowerScanPaginationStress|TestDivergenceResync|TestBackup|TestFollowerGroupSync|TestFrameThenHeartbeatInOneRead|TestFollowerCrashKeepsReportedPrefix|TestPromoteDuringBurstIsDurable|TestCatchUpShipsOnlyDurable|TestFollowerTrickleVersions|TestQuickApplyBatchEquivalence|TestApplyBatch' \
 		./internal/repl ./internal/store
 
 # The promotion chaos campaign, exhaustive: every network fault mode

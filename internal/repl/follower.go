@@ -348,6 +348,8 @@ func (f *Follower) session() (handshook bool, err error) {
 
 // progress is one session's bookkeeping between reports.
 type progress struct {
+	// batch holds the frames read since the last drain, not yet applied.
+	batch [][]byte
 	// unsynced is the highest seq applied but not yet fsynced: visible to
 	// local readers, in the local WAL's buffers, absent from
 	// Status.LastApplied. Zero means nothing is pending.
@@ -355,20 +357,23 @@ type progress struct {
 
 	// The rest tallies the way from the handshake to the head the primary
 	// advertised in it, for the one log line that closes a catch-up.
-	target               uint64 // 0 once reached, or when there was nothing to catch up
-	start                time.Time
-	frames, bytes, syncs int
+	target                         uint64 // 0 once reached, or when there was nothing to catch up
+	start                          time.Time
+	frames, bytes, syncs, versions int
 }
 
-// stream applies messages until the session breaks. Frames are applied as
-// they arrive but reported in batches: whenever the read buffer has been
-// drained of whole messages — the next read would wait for the network —
-// the batch is made durable with one WaitDurable and only then published
-// as LastApplied. The boundary is the socket running dry, not a size or
-// a timer: a live trickle is batches of one, log catch-up is a buffer's
-// worth (hundreds) of frames per fsync. Whatever ends the session, the
-// applied prefix is settled the same way before stream returns, so Close
-// (and Promote behind it) never leaves a visible-but-unreported tail.
+// stream applies messages until the session breaks. Frames are batched
+// by the read buffer: they accumulate while whole messages remain
+// buffered, and when the buffer has been drained — the next read would
+// wait for the network — the batch is applied as one store version, made
+// durable with one WaitDurable and only then published as LastApplied.
+// The boundary is the socket running dry, not a size or a timer: a live
+// trickle is batches of one, log catch-up is a buffer's worth (hundreds)
+// of frames per version and per fsync. A non-frame message applies the
+// batch before it is handled, and whatever ends the session, the frames
+// already received are applied and settled before stream returns, so
+// Close (and Promote behind it) never leaves a visible-but-unreported
+// tail.
 func (f *Follower) stream(conn net.Conn, br *bufio.Reader, head uint64) (err error) {
 	p := progress{start: time.Now()}
 	if head > f.s.CommitSeq() {
@@ -383,6 +388,9 @@ func (f *Follower) stream(conn net.Conn, br *bufio.Reader, head uint64) (err err
 		// Checked for every message type: a frame followed by a heartbeat
 		// in the same buffer must not stay unreported until the next read.
 		if !msgBuffered(br) {
+			if err := f.apply(&p); err != nil {
+				return err
+			}
 			if err := f.settle(&p); err != nil {
 				return err
 			}
@@ -390,17 +398,19 @@ func (f *Follower) stream(conn net.Conn, br *bufio.Reader, head uint64) (err err
 		conn.SetReadDeadline(time.Now().Add(f.opts.ReadTimeout))
 		typ, payload, err := readMsg(br)
 		if err != nil {
+			if aerr := f.apply(&p); aerr != nil {
+				return aerr
+			}
+			return err
+		}
+		if typ == msgFrame {
+			p.batch = append(p.batch, payload)
+			continue
+		}
+		if err := f.apply(&p); err != nil {
 			return err
 		}
 		switch typ {
-		case msgFrame:
-			seq, err := f.s.ApplyReplicated(payload)
-			if err != nil {
-				return f.applyError(err)
-			}
-			p.unsynced = seq
-			p.frames++
-			p.bytes += len(payload)
 		case msgHeartbeat:
 			if len(payload) != 8 {
 				return fmt.Errorf("repl: malformed heartbeat")
@@ -426,6 +436,33 @@ func (f *Follower) stream(conn net.Conn, br *bufio.Reader, head uint64) (err err
 			return fmt.Errorf("repl: unexpected message type %q", typ)
 		}
 	}
+}
+
+// apply installs the pending batch as one store version. On an error
+// ApplyReplicated has still installed the frames before the failing one,
+// so whatever it reports as applied is pending for settle either way.
+func (f *Follower) apply(p *progress) error {
+	if len(p.batch) == 0 {
+		return nil
+	}
+	before := f.s.CommitSeq()
+	seq, err := f.s.ApplyReplicated(p.batch...)
+	if seq > before {
+		p.unsynced = seq
+		p.versions++
+	}
+	if err == nil {
+		p.frames += len(p.batch)
+		for _, b := range p.batch {
+			p.bytes += len(b)
+		}
+	}
+	clear(p.batch) // drop the payloads; the store keeps what it installed
+	p.batch = p.batch[:0]
+	if err != nil {
+		return f.applyError(err)
+	}
+	return nil
 }
 
 // settle makes the pending batch durable, then reports it: LastApplied,
@@ -462,8 +499,8 @@ func (f *Follower) reportApplied(seq uint64, p *progress) {
 	})
 	if p.target != 0 && seq >= p.target {
 		p.target = 0
-		f.logf("repl: caught up to seq %d: %d frames, %d bytes, %d sync batches in %s",
-			seq, p.frames, p.bytes, p.syncs, time.Since(p.start).Round(time.Millisecond))
+		f.logf("repl: caught up to seq %d: %d frames, %d bytes, %d sync batches, %d versions in %s",
+			seq, p.frames, p.bytes, p.syncs, p.versions, time.Since(p.start).Round(time.Millisecond))
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -95,17 +96,62 @@ func fsyncs(t *testing.T, s *store.Store) uint64 {
 	return info.Fsyncs
 }
 
+// catchUpLog captures the follower's one catch-up log line.
+type catchUpLog struct {
+	mu                      sync.Mutex
+	seen                    bool
+	frames, syncs, versions int
+}
+
+func (c *catchUpLog) logf(t *testing.T) func(string, ...any) {
+	return func(format string, args ...any) {
+		msg := fmt.Sprintf(format, args...)
+		t.Log(msg)
+		var seq uint64
+		var frames, bytes, syncs, versions int
+		var took string
+		if n, _ := fmt.Sscanf(msg, "repl: caught up to seq %d: %d frames, %d bytes, %d sync batches, %d versions in %s",
+			&seq, &frames, &bytes, &syncs, &versions, &took); n == 6 {
+			c.mu.Lock()
+			c.seen, c.frames, c.syncs, c.versions = true, frames, syncs, versions
+			c.mu.Unlock()
+		}
+	}
+}
+
+// wait returns the captured counts once the line has been logged.
+func (c *catchUpLog) wait(t *testing.T) (frames, syncs, versions int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		c.mu.Lock()
+		seen, frames, syncs, versions := c.seen, c.frames, c.syncs, c.versions
+		c.mu.Unlock()
+		if seen {
+			return frames, syncs, versions
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no catch-up log line")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestFollowerGroupSync pins the batch rule from both sides: catching up
-// from the primary's log rides a few fsyncs, because the read buffer
-// rarely drains; a live trickle still pays exactly one fsync per frame,
-// because it drains after every one.
+// from the primary's log rides a few fsyncs and as few store versions,
+// because the read buffer rarely drains; a live trickle still pays
+// exactly one fsync per frame, because it drains after every one.
 func TestFollowerGroupSync(t *testing.T) {
 	const burst, trickle = 2000, 200
 	primary, addr := burstPrimary(t, burst)
 
 	fstore := openDurable(t, t.TempDir(), store.SyncAlways, nil)
 	before := fsyncs(t, fstore)
-	f := startFollower(t, fstore, addr)
+	var line catchUpLog
+	fstore.SetReplica(true)
+	f := NewFollower(fstore, addr, FollowerOptions{Logf: line.logf(t)})
+	f.Start()
+	t.Cleanup(f.Close)
 	if err := f.WaitForSeq(burst, 30*time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -113,6 +159,11 @@ func TestFollowerGroupSync(t *testing.T) {
 	t.Logf("catch-up: %d frames on %d fsyncs", burst, caughtUp)
 	if caughtUp > burst/8 {
 		t.Fatalf("catch-up of %d frames cost %d fsyncs, want at most %d", burst, caughtUp, burst/8)
+	}
+	frames, syncs, versions := line.wait(t)
+	if frames != burst || versions > syncs+1 {
+		t.Fatalf("catch-up logged %d frames in %d versions over %d sync batches; want %d frames, at most one version per sync batch (+1)",
+			frames, versions, syncs, burst)
 	}
 
 	for i := 1; i <= trickle; i++ {
@@ -125,6 +176,68 @@ func TestFollowerGroupSync(t *testing.T) {
 		t.Fatalf("%d trickled frames cost %d fsyncs, want one each", trickle, got)
 	}
 	assertConverged(t, primary, fstore)
+}
+
+// TestFollowerTrickleVersions: frames that arrive one at a time — each
+// read drains the buffer — are applied one version per frame, exactly as
+// before batching. The stand-in primary advertises the last frame as its
+// head, so the catch-up line reports the trickle.
+func TestFollowerTrickleVersions(t *testing.T) {
+	const n = 20
+	src := newPrimary(t)
+	sub, err := src.SubscribeCommits(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Cancel()
+	for i := 0; i < n; i++ {
+		putAcct(t, src, fmt.Sprintf("t%d", i), 1)
+	}
+	frames := make([]store.ReplFrame, n)
+	for i := range frames {
+		frames[i] = <-sub.C
+	}
+
+	fstore := store.New()
+	mustSchema(t, fstore)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	hold := make(chan struct{})
+	defer close(hold)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		if _, _, _, err := readHello(conn); err != nil {
+			return
+		}
+		writeHelloReply(conn, statusOK, frames[n-1].Seq, 1)
+		for _, fr := range frames {
+			writeMsg(conn, msgFrame, fr.Payload)
+			for deadline := time.Now().Add(5 * time.Second); fstore.CommitSeq() < fr.Seq && time.Now().Before(deadline); {
+				time.Sleep(100 * time.Microsecond)
+			}
+		}
+		<-hold
+	}()
+
+	var line catchUpLog
+	fstore.SetReplica(true)
+	f := NewFollower(fstore, ln.Addr().String(), FollowerOptions{Logf: line.logf(t)})
+	f.Start()
+	defer f.Close()
+	if err := f.WaitForSeq(frames[n-1].Seq, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	got, syncs, versions := line.wait(t)
+	if got != n || versions != n || syncs != n {
+		t.Fatalf("trickle of %d frames logged %d frames, %d versions, %d sync batches; want %d of each", n, got, versions, syncs, n)
+	}
 }
 
 // TestFrameThenHeartbeatInOneRead: the drained-buffer check runs before

@@ -253,24 +253,47 @@ func walFramesSegment(f File, from uint64, next *uint64, fn func(seq uint64, pay
 	}
 }
 
-// ApplyReplicated installs one replicated WAL frame — the payload bytes
-// exactly as shipped from the primary — as this store's next commit. It
-// returns the store's resulting commit sequence.
+// ApplyReplicated installs a run of replicated WAL frames — the payload
+// bytes exactly as shipped from the primary, in commit order — as this
+// store's next commits, and returns the store's resulting commit
+// sequence. One payload is a run of one.
 //
-// Semantics mirror recovery replay: a frame at or below the current
-// sequence is skipped (catch-up overlap is expected and idempotent); a
-// frame that skips ahead fails with ErrReplicaGap and changes nothing; a
-// frame that does not decode, or whose apply hits an index violation
-// (divergence), fails with ErrCorrupt. On a durable store the frame is
-// appended to the local WAL before the version is published — if the
-// append fails the store degrades, exactly like a local commit. The
-// fsync is the caller's: the returned seq is visible to local readers
-// but not yet stable, and one WaitDurable(seq) after a run of frames
-// covers the whole run with a single group fsync.
-func (s *Store) ApplyReplicated(payload []byte) (uint64, error) {
-	rec, err := decodeWALRecord(payload)
-	if err != nil {
-		return s.CommitSeq(), fmt.Errorf("store: replicated frame: %v: %w", err, ErrCorrupt)
+// The run becomes ONE version. Every frame is decoded before the writer
+// mutex is taken, the frames are merged in order into one pending
+// overlay (a later write replaces an earlier write or delete of the same
+// id, a later delete drops an earlier write, the serial high-water mark
+// takes the maximum), and a single copy-on-write install publishes the
+// result, so a catch-up batch copies each touched chunk and index shard
+// once rather than once per frame. What it publishes is the state
+// frame-by-frame application reaches after the run's last frame, down to
+// each table's TableSeq — the seq of the last frame that touched the
+// table, as WAL replay gives — but local readers never see the states in
+// between: visibility moves a whole run at a time, always to a frame
+// boundary of the primary's history.
+//
+// Per frame the semantics mirror recovery replay: a frame at or below
+// the current sequence is skipped (catch-up overlap is expected and
+// idempotent); a frame that skips ahead (ErrReplicaGap) or does not
+// decode (ErrCorrupt) ends the run — the frames before it are installed,
+// then the error is returned. An index violation during the install
+// means this replica has diverged (or a frame is corrupt despite its
+// checksum): it fails with ErrCorrupt and installs none of the run. On a
+// durable store every frame is appended to the local WAL, byte for byte
+// and in order, before the version is published; if an append fails the
+// store degrades, exactly like a local commit, after installing the
+// frames already appended. The fsync is the caller's: the returned seq
+// is visible to local readers but not yet stable, and one
+// WaitDurable(seq) covers the whole run with a single group fsync.
+func (s *Store) ApplyReplicated(payloads ...[]byte) (uint64, error) {
+	recs := make([]walRecord, 0, len(payloads))
+	var stop error // what ends the run early, returned after the prefix installs
+	for _, p := range payloads {
+		rec, err := decodeWALRecord(p)
+		if err != nil {
+			stop = fmt.Errorf("store: replicated frame: %v: %w", err, ErrCorrupt)
+			break
+		}
+		recs = append(recs, rec)
 	}
 	s.writeMu.Lock()
 	base := s.current.Load()
@@ -278,81 +301,120 @@ func (s *Store) ApplyReplicated(payload []byte) (uint64, error) {
 		s.writeMu.Unlock()
 		return base.seq, ErrClosed
 	}
-	if rec.Seq <= base.seq {
-		s.writeMu.Unlock()
-		return base.seq, nil
+	run := make([]int, 0, len(recs)) // indexes of the frames to install
+	for i, rec := range recs {
+		next := base.seq + uint64(len(run)) + 1
+		if rec.Seq < next {
+			continue
+		}
+		if rec.Seq != next {
+			stop = fmt.Errorf("store: replicated frame seq %d after %d: %w", rec.Seq, next-1, ErrReplicaGap)
+			break
+		}
+		run = append(run, i)
 	}
-	if rec.Seq != base.seq+1 {
+	if len(run) == 0 {
 		s.writeMu.Unlock()
-		return base.seq, fmt.Errorf("store: replicated frame seq %d after %d: %w", rec.Seq, base.seq, ErrReplicaGap)
+		return base.seq, stop
 	}
 	if d := s.degraded.Load(); d != nil {
 		s.writeMu.Unlock()
 		return base.seq, &DegradedError{Cause: d.cause, Since: d.since}
 	}
-	walAppended := false
+	var appendErr error
 	if s.wal != nil {
-		if err := s.wal.append(rec.Seq, payload); err != nil {
-			s.degrade(err)
+		for n, i := range run {
+			if err := s.wal.append(recs[i].Seq, payloads[i]); err != nil {
+				appendErr, run = err, run[:n]
+				break
+			}
+		}
+	}
+	seq := base.seq
+	if len(run) > 0 {
+		nv, err := applyRun(base, recs, run)
+		if err != nil {
+			// Divergence: the run already reached the local log, so poison
+			// it — recovery must not replay frames never published here.
+			err = fmt.Errorf("store: replicated apply seq %d..%d: %v: %w", base.seq+1, base.seq+uint64(len(run)), err, ErrCorrupt)
+			if s.wal != nil {
+				s.wal.poison(err)
+				s.degrade(err)
+			}
 			s.writeMu.Unlock()
 			return base.seq, err
 		}
-		walAppended = true
+		s.current.Store(nv)
+		for _, i := range run {
+			s.publishCommit(recs[i].Seq, payloads[i]) // chained subscribers see the same feed
+		}
+		seq = nv.seq
 	}
-
-	// Build a pending overlay equivalent to the original transaction's.
-	// applyOverlay skips tables absent from its base, so tables the
-	// primary created after this follower's snapshot are pre-created on a
-	// derived base first (private until published; never seen half-built).
-	vbase := base
-	pending := make(map[string]*txTable, len(rec.Tables))
-	for _, tc := range rec.Tables {
-		if vbase.tables[tc.Name] == nil {
-			if vbase == base {
-				vbase = base.withTables()
-			}
-			nt := newTable(tc.Name)
-			nt.lastSeq = base.seq
-			vbase.tables[tc.Name] = nt
-		}
-		o := &txTable{nextID: tc.NextID}
-		if len(tc.Deletes) > 0 {
-			o.deletes = make(map[int64]bool, len(tc.Deletes))
-			for _, id := range tc.Deletes {
-				o.deletes[id] = true
-			}
-		}
-		if len(tc.Writes) > 0 {
-			o.writes = make(map[int64]Record, len(tc.Writes))
-			for _, r := range tc.Writes {
-				o.writes[r.ID()] = r
-			}
-		}
-		pending[tc.Name] = o
-	}
-	nv, err := applyOverlay(vbase, pending)
-	if err != nil {
-		// An index violation during a replicated apply means this replica
-		// has diverged from the primary (or the frame is corrupt despite
-		// its checksum). Refuse loudly; if the frame already reached the
-		// local log, poison it — recovery must not replay a frame that
-		// was never published here.
-		err = fmt.Errorf("store: replicated apply seq %d: %v: %w", rec.Seq, err, ErrCorrupt)
-		if walAppended {
-			s.wal.poison(err)
-			s.degrade(err)
-		}
+	if appendErr != nil {
+		s.degrade(appendErr)
 		s.writeMu.Unlock()
-		return base.seq, err
+		return seq, appendErr
 	}
-	s.current.Store(nv)
-	s.publishCommit(rec.Seq, payload) // chained subscribers see the same feed
 	s.writeMu.Unlock()
 
-	if walAppended {
+	if s.wal != nil {
 		s.maybeTriggerSnapshot()
 	}
-	return rec.Seq, nil
+	return seq, stop
+}
+
+// applyRun merges the frames recs[run...] in order into one pending
+// overlay and installs it on base as a single version at the run's last
+// seq. Tables the primary created after this follower's snapshot are
+// pre-created on a derived base first (private until published; never
+// seen half-built), stamped as frame-by-frame application would have
+// created them: just before the frame that first names them.
+func applyRun(base *version, recs []walRecord, run []int) (*version, error) {
+	vbase := base
+	pending := make(map[string]*txTable)
+	for _, i := range run {
+		rec := &recs[i]
+		for _, tc := range rec.Tables {
+			if vbase.tables[tc.Name] == nil {
+				if vbase == base {
+					vbase = base.withTables()
+				}
+				nt := newTable(tc.Name)
+				nt.lastSeq = rec.Seq - 1
+				vbase.tables[tc.Name] = nt
+			}
+			o := pending[tc.Name]
+			if o == nil {
+				o = &txTable{}
+				pending[tc.Name] = o
+			}
+			o.mergeFrame(tc, rec.Seq)
+		}
+	}
+	return applyOverlay(vbase, pending, recs[run[len(run)-1]].Seq)
+}
+
+// mergeFrame folds one replicated frame's change to a table into the
+// overlay, as the commit that follows everything already there: deletes
+// first, then writes, as the frame installs them.
+func (o *txTable) mergeFrame(tc walTableChange, seq uint64) {
+	for _, id := range tc.Deletes {
+		delete(o.writes, id)
+		if o.deletes == nil {
+			o.deletes = make(map[int64]bool, len(tc.Deletes))
+		}
+		o.deletes[id] = true
+	}
+	for _, r := range tc.Writes {
+		id := r.ID()
+		delete(o.deletes, id)
+		if o.writes == nil {
+			o.writes = make(map[int64]Record, len(tc.Writes))
+		}
+		o.writes[id] = r
+	}
+	o.nextID = max(o.nextID, tc.NextID)
+	o.lastSeq = seq
 }
 
 // PinnedSnapshot pins the current committed version and returns its
@@ -376,13 +438,18 @@ func (s *Store) PinnedSnapshot() (uint64, func(io.Writer) error) {
 // primary's. In-flight readers are unaffected: they keep their pinned
 // versions; the reset is one atomic pointer swap.
 //
-// On a durable store the new timeline is made crash-safe before it is
+// On a durable store the new timeline is persisted before it is
 // published: the local WAL is reset (all segments removed, a fresh one
 // based after the snapshot seq) and the snapshot is written to the data
-// directory, in that order — a crash between the two recovers the old
-// state cleanly, never a mix. Any failure on that path degrades the
-// store: a replica that cannot persist its resync must refuse further
-// replication rather than silently diverge after a restart.
+// directory, in that order. The sequence is not crash-atomic. A crash
+// after the reset and before the snapshot rename reopens on the old
+// snapshot alone, below the seq this replica may already have reported
+// durable; a crash between two segment removals can leave a WAL gap that
+// Open refuses as a corrupt data directory. ROADMAP.md item 3 (one
+// CURRENT manifest swapped by rename) is the fix. Any failure on that
+// path degrades the store: a replica that cannot persist its resync
+// must refuse further replication rather than silently diverge after a
+// restart.
 func (s *Store) ResetFromSnapshot(r io.Reader) (uint64, error) {
 	nv, snapEpoch, err := readSnapshot(r)
 	if err != nil {

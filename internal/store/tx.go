@@ -43,6 +43,10 @@ type txTable struct {
 	writes  map[int64]Record // id -> new record state (deep copies)
 	deletes map[int64]bool   // id -> deleted in this tx
 	nextID  int64            // provisional next id (0 = untouched)
+	// lastSeq, when set, is the TableSeq stamp the install gives the
+	// table instead of the commit's own seq: a replicated run stamps each
+	// table with the seq of the last frame that touched it.
+	lastSeq uint64
 
 	// ixw indexes the overlay itself: for every indexed field of the
 	// pinned table, the sorted pending-write ids per index key. It is
@@ -645,7 +649,7 @@ func (tx *Tx) commitLocked() error {
 		}
 		tx.walSeq = seq
 	}
-	nv, err := applyOverlay(base, tx.pending)
+	nv, err := applyOverlay(base, tx.pending, base.seq+1)
 	if err != nil {
 		// Unique violations are checked at write or validate time; hitting
 		// one during the copy-on-write install indicates a bug. If the

@@ -412,9 +412,11 @@ type keyDelta struct {
 	val           any
 }
 
-// applyOverlay derives the successor of base by applying a transaction's
-// pending overlay copy-on-write: untouched tables, chunks and index
-// postings are shared with base; touched ones are copied once. Mirrors
+// applyOverlay derives the successor of base, at commit sequence seq, by
+// applying a pending overlay copy-on-write: untouched tables, chunks and
+// index postings are shared with base; touched ones are copied once. The
+// overlay is one transaction's (seq = base.seq+1) or a replicated run of
+// frames merged into one (seq = the run's last frame). Mirrors
 // the WAL record's apply order (tables in sorted name order; per table
 // deletions first, then writes in id order) so that replay reconstructs
 // the exact same state.
@@ -436,9 +438,9 @@ type keyDelta struct {
 // committed version, so Tx.Count and the aggregate strategies
 // count(maintained)/count(postings) read them O(1) instead of ever
 // recounting rows.
-func applyOverlay(base *version, pending map[string]*txTable) (*version, error) {
+func applyOverlay(base *version, pending map[string]*txTable, seq uint64) (*version, error) {
 	nv := base.withTables()
-	nv.seq = base.seq + 1
+	nv.seq = seq
 	names := make([]string, 0, len(pending))
 	for name := range pending {
 		names = append(names, name)
@@ -450,19 +452,23 @@ func applyOverlay(base *version, pending map[string]*txTable) (*version, error) 
 		if bt == nil {
 			continue // tables are never dropped mid-tx; cannot happen
 		}
+		stamp := seq
+		if o.lastSeq != 0 {
+			stamp = o.lastSeq
+		}
 		if len(o.writes) == 0 && len(o.deletes) == 0 {
 			if o.nextID > bt.nextID {
 				// Inserts that were all deleted again in the same tx:
 				// only the serial high-water mark moves.
 				nt := bt.clone()
 				nt.nextID = o.nextID
-				nt.lastSeq = nv.seq
+				nt.lastSeq = stamp
 				nv.tables[name] = nt
 			}
 			continue
 		}
 		ct := newCowTable(bt)
-		ct.t.lastSeq = nv.seq
+		ct.t.lastSeq = stamp
 
 		delIDs := make([]int64, 0, len(o.deletes))
 		for id := range o.deletes {
