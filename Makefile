@@ -1,4 +1,4 @@
-.PHONY: build test race bench verify bench-compare bench-ingest bench-agg bench-repl test-faults bench-faults bench-http bench-http-smoke bench-http-replicas bench-http-failover test-repl test-chaos
+.PHONY: build test race bench verify fuzz-smoke bench-compare bench-ingest bench-agg bench-repl test-faults bench-faults bench-http bench-http-smoke bench-http-replicas bench-http-failover test-repl test-chaos
 
 build:
 	go build ./...
@@ -62,6 +62,20 @@ test-chaos:
 	BFABRIC_CHAOS=full go test -race -count=1 \
 		-run 'TestPromotionChaosCampaign|TestFencedAheadRefusesZombie|TestPromoteDisconnectRepoints|TestHalfOpenFreezesLastContact' \
 		./internal/repl
+
+# Runs every Fuzz* target in the tree for FUZZTIME (default 5s) each —
+# the WAL payload decoder, the snapshot reader and the row accessors
+# among them. go test -fuzz takes one target at a time, so the targets are
+# discovered with grep and run in turn; any failure stops the sweep and
+# leaves its input under the package's testdata/fuzz.
+FUZZTIME ?= 5s
+fuzz-smoke:
+	@set -e; for dir in $$(grep -rl --include='*_test.go' '^func Fuzz' . | xargs -n1 dirname | sort -u); do \
+		for f in $$(grep -h '^func Fuzz' $$dir/*_test.go | sed 's/^func \(Fuzz[A-Za-z0-9_]*\).*/\1/'); do \
+			echo "fuzz $$dir $$f"; \
+			go test -run '^$$' -fuzz "^$$f$$" -fuzztime $(FUZZTIME) $$dir; \
+		done; \
+	done
 
 # Fence that the storefs indirection keeps the hot paths within noise:
 # Q1 (filtered browse query), D3 (durable commit latency) and the bulk

@@ -807,7 +807,7 @@ func queryBenchSystem(b *testing.B) *core.System {
 // scanAll visits every row of the table through the planner's scan path
 // (no predicate): the unindexed baseline the Q benchmarks' "full-scan"
 // rows price the planned paths against.
-func scanAll(tx *store.Tx, table string, fn func(store.Record)) error {
+func scanAll(tx *store.Tx, table string, fn func(store.Row)) error {
 	rows, err := tx.Query(store.Query{Table: table})
 	if err != nil {
 		return err
@@ -857,7 +857,7 @@ func BenchmarkQ2_IndexedMultiPredicate(b *testing.B) {
 	var expect int
 	err := sys.View(func(tx *store.Tx) error {
 		perProject := map[int64]int{}
-		if err := scanAll(tx, model.KindSample, func(r store.Record) {
+		if err := scanAll(tx, model.KindSample, func(r store.Row) {
 			if r.String("species") == species {
 				perProject[r.Int("project")]++
 			}
@@ -919,7 +919,7 @@ func BenchmarkQ2_IndexedMultiPredicate(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			err := sys.View(func(tx *store.Tx) error {
 				n := 0
-				if err := scanAll(tx, model.KindSample, func(r store.Record) {
+				if err := scanAll(tx, model.KindSample, func(r store.Row) {
 					if r.Int("project") == project && r.String("species") == species {
 						n++
 					}
@@ -1030,7 +1030,7 @@ func BenchmarkQ4_AggCount(b *testing.B) {
 	q := store.Query{Table: model.KindSample, Where: []store.Pred{store.Eq("species", species)}}
 	var expect int
 	err := sys.View(func(tx *store.Tx) error {
-		if err := scanAll(tx, model.KindSample, func(r store.Record) {
+		if err := scanAll(tx, model.KindSample, func(r store.Row) {
 			if r.String("species") == species {
 				expect++
 			}
@@ -1074,7 +1074,7 @@ func BenchmarkQ4_AggCount(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			err := sys.View(func(tx *store.Tx) error {
 				n := 0
-				if err := scanAll(tx, model.KindSample, func(r store.Record) {
+				if err := scanAll(tx, model.KindSample, func(r store.Row) {
 					if r.String("species") == species {
 						n++
 					}
@@ -1103,7 +1103,7 @@ func BenchmarkQ5_GroupBy(b *testing.B) {
 	aq := store.Query{Table: model.KindSample}.GroupBy("species")
 	want := map[string]int{}
 	err := sys.View(func(tx *store.Tx) error {
-		if err := scanAll(tx, model.KindSample, func(r store.Record) {
+		if err := scanAll(tx, model.KindSample, func(r store.Row) {
 			if s := r.String("species"); s != "" {
 				want[s]++
 			}
@@ -1152,7 +1152,7 @@ func BenchmarkQ5_GroupBy(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			err := sys.View(func(tx *store.Tx) error {
 				got := map[string]int{}
-				if err := scanAll(tx, model.KindSample, func(r store.Record) {
+				if err := scanAll(tx, model.KindSample, func(r store.Row) {
 					if s := r.String("species"); s != "" {
 						got[s]++
 					}

@@ -6,7 +6,6 @@
 package audit
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"strings"
@@ -21,7 +20,8 @@ const auditTable = "_audit"
 // Entry is one logged manipulation.
 type Entry struct {
 	ID int64
-	// Seq is a monotonically increasing sequence number.
+	// Seq is the entry's place in the log: its row id, so unique and
+	// increasing across restarts, promotions and rolled-back writes.
 	Seq int64
 	// Topic is the event topic ("sample.created", ...).
 	Topic string
@@ -39,7 +39,6 @@ type Entry struct {
 // Log subscribes to the bus and persists manipulation entries.
 type Log struct {
 	store *store.Store
-	seq   int64
 }
 
 // New creates the audit log over the store and subscribes it to the bus.
@@ -51,7 +50,7 @@ func New(s *store.Store, bus *events.Bus) *Log {
 		_ = s.CreateIndex(auditTable, "topic", false)
 		s.EnsureTable(auditTable + "_marker")
 	}
-	l := &Log{store: s, seq: int64(s.Count(auditTable))}
+	l := &Log{store: s}
 	bus.Subscribe("", l.onEvent)
 	return l
 }
@@ -97,9 +96,7 @@ func (l *Log) insert(tx *store.Tx, ev events.Event, ref int64, payload map[strin
 		fields = append(fields, k)
 	}
 	slices.Sort(fields)
-	l.seq++
 	_, err := tx.Insert(auditTable, store.Record{
-		"seq":    l.seq,
 		"topic":  ev.Topic,
 		"kind":   ev.Kind,
 		"ref":    ref,
@@ -113,23 +110,18 @@ func (l *Log) insert(tx *store.Tx, ev events.Event, ref int64, payload map[strin
 
 var nowFunc = func() time.Time { return time.Now().UTC() }
 
-func entryFromRecord(r store.Record) Entry {
+// entryFromRecord converts an audit row. Rows written before Seq became
+// the row id still carry a "seq" column; nothing reads it.
+func entryFromRecord(r store.Row) Entry {
 	return Entry{
-		ID: r.ID(), Seq: r.Int("seq"), Topic: r.String("topic"),
+		ID: r.ID(), Seq: r.ID(), Topic: r.String("topic"),
 		Kind: r.String("kind"), Ref: r.Int("ref"), Actor: r.String("actor"),
-		// The record may be a shared reference from the zero-copy read
-		// path; clone the slice so the Entry is fully caller-owned.
-		At: r.Time("at"), Fields: slices.Clone(r.Strings("fields")),
+		At: r.Time("at"), Fields: r.Strings("fields"),
 	}
 }
 
-func sortEntries(es []Entry) {
-	slices.SortFunc(es, func(a, b Entry) int { return cmp.Compare(a.Seq, b.Seq) })
-}
-
-// collect drains a planned audit query into entries. Entries insert in
-// sequence order, so the engine's id ordering already is seq ordering;
-// sortEntries stays as a cheap invariant guard on the (small) result.
+// collect drains a planned audit query into entries, in the engine's id
+// order — which is sequence order, since Seq is the id.
 func collect(tx *store.Tx, q store.Query) ([]Entry, error) {
 	rows, err := tx.Query(q)
 	if err != nil {
@@ -144,43 +136,28 @@ func collect(tx *store.Tx, q store.Query) ([]Entry, error) {
 
 // ByActor returns the actor's manipulations in sequence order.
 func (l *Log) ByActor(tx *store.Tx, actor string) ([]Entry, error) {
-	out, err := collect(tx, store.Query{
+	return collect(tx, store.Query{
 		Table: auditTable,
 		Where: []store.Pred{store.Eq("actor", actor)},
 	})
-	if err != nil {
-		return nil, err
-	}
-	sortEntries(out)
-	return out, nil
 }
 
 // ByActorSince returns the actor's manipulations at or after the given
 // time, in sequence order. The actor index drives; the time bound is a
 // pushed-down residual.
 func (l *Log) ByActorSince(tx *store.Tx, actor string, since time.Time) ([]Entry, error) {
-	out, err := collect(tx, store.Query{
+	return collect(tx, store.Query{
 		Table: auditTable,
 		Where: []store.Pred{store.Eq("actor", actor), store.Range("at", since, nil)},
 	})
-	if err != nil {
-		return nil, err
-	}
-	sortEntries(out)
-	return out, nil
 }
 
 // ByObject returns the manipulations of one object in sequence order.
 func (l *Log) ByObject(tx *store.Tx, kind string, ref int64) ([]Entry, error) {
-	out, err := collect(tx, store.Query{
+	return collect(tx, store.Query{
 		Table: auditTable,
 		Where: []store.Pred{store.Eq("refkey", refKey(kind, ref))},
 	})
-	if err != nil {
-		return nil, err
-	}
-	sortEntries(out)
-	return out, nil
 }
 
 // ByTimeRange returns the manipulations inside [from, to] (zero time =
@@ -194,15 +171,10 @@ func (l *Log) ByTimeRange(tx *store.Tx, from, to time.Time) ([]Entry, error) {
 	if !to.IsZero() {
 		hi = to
 	}
-	out, err := collect(tx, store.Query{
+	return collect(tx, store.Query{
 		Table: auditTable,
 		Where: []store.Pred{store.Range("at", lo, hi)},
 	})
-	if err != nil {
-		return nil, err
-	}
-	sortEntries(out)
-	return out, nil
 }
 
 // Recent returns the most recent n entries, newest first — the system
@@ -213,14 +185,7 @@ func (l *Log) Recent(tx *store.Tx, n int) ([]Entry, error) {
 	if n <= 0 {
 		return nil, nil
 	}
-	out, err := collect(tx, store.Query{Table: auditTable, Desc: true, Limit: n})
-	if err != nil {
-		return nil, err
-	}
-	// Entry ids and seqs advance together; guard the newest-first contract
-	// against any divergence within the page.
-	slices.SortFunc(out, func(a, b Entry) int { return cmp.Compare(b.Seq, a.Seq) })
-	return out, nil
+	return collect(tx, store.Query{Table: auditTable, Desc: true, Limit: n})
 }
 
 // Count returns the total number of audit entries.

@@ -217,7 +217,7 @@ func TestCoachHasAccess(t *testing.T) {
 func TestDistinctSaltsPerUser(t *testing.T) {
 	fx := newFixture(t)
 	_ = fx.s.View(func(tx *store.Tx) error {
-		cred := func(login string) store.Record {
+		cred := func(login string) store.Row {
 			rows, err := tx.Query(store.Query{Table: credTable, Where: []store.Pred{store.Eq("login", login)}})
 			if err != nil || !rows.Next() {
 				t.Fatalf("credential of %s: %v", login, err)

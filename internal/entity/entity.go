@@ -541,12 +541,11 @@ func (rg *Registry) Get(tx *store.Tx, kind string, id int64) (store.Record, erro
 	return tx.Get(kind, id)
 }
 
-// GetRef returns the entity record without copying it. The store's aliasing
-// contract applies: the record (including slice values) must be treated as
-// read-only. Use it on read paths that only extract values.
-func (rg *Registry) GetRef(tx *store.Tx, kind string, id int64) (store.Record, error) {
+// GetRef returns the stored, immutable entity row without copying it.
+// Use it on read paths that only extract values.
+func (rg *Registry) GetRef(tx *store.Tx, kind string, id int64) (store.Row, error) {
 	if _, ok := rg.kinds[kind]; !ok {
-		return nil, fmt.Errorf("entity: %q: %w", kind, ErrUnknownKind)
+		return store.Row{}, fmt.Errorf("entity: %q: %w", kind, ErrUnknownKind)
 	}
 	return tx.GetRef(kind, id)
 }

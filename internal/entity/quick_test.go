@@ -80,7 +80,7 @@ func TestQuickLinkGraphConsistency(t *testing.T) {
 		// every outgoing edge appears in the target's Incoming.
 		ok := true
 		_ = rg.Store().View(func(tx *store.Tx) error {
-			return scanAll(tx, "node", func(r store.Record) bool {
+			return scanAll(tx, "node", func(r store.Row) bool {
 				want := map[string]int{}
 				if p := r.Int("parent"); p != 0 {
 					want[fmt.Sprintf("parent->%d", p)]++
@@ -137,7 +137,7 @@ func TestQuickLinkGraphConsistency(t *testing.T) {
 }
 
 // scanAll visits the table's rows in id order until fn returns false.
-func scanAll(tx *store.Tx, table string, fn func(store.Record) bool) error {
+func scanAll(tx *store.Tx, table string, fn func(store.Row) bool) error {
 	rows, err := tx.Query(store.Query{Table: table})
 	if err != nil {
 		return err

@@ -45,7 +45,7 @@ func TestGenerateReferentialShape(t *testing.T) {
 	// existing sample; every resource at an existing workunit. The entity
 	// layer enforces this at write time; verify a posteriori anyway.
 	err := sys.View(func(tx *store.Tx) error {
-		if err := scanAll(tx, model.KindSample, func(r store.Record) bool {
+		if err := scanAll(tx, model.KindSample, func(r store.Row) bool {
 			if !tx.Exists(model.KindProject, r.Int("project")) {
 				t.Errorf("sample %d has dangling project", r.ID())
 				return false
@@ -54,7 +54,7 @@ func TestGenerateReferentialShape(t *testing.T) {
 		}); err != nil {
 			return err
 		}
-		if err := scanAll(tx, model.KindExtract, func(r store.Record) bool {
+		if err := scanAll(tx, model.KindExtract, func(r store.Row) bool {
 			if !tx.Exists(model.KindSample, r.Int("sample")) {
 				t.Errorf("extract %d has dangling sample", r.ID())
 				return false
@@ -65,7 +65,7 @@ func TestGenerateReferentialShape(t *testing.T) {
 		}
 		assigned := 0
 		total := 0
-		if err := scanAll(tx, model.KindDataResource, func(r store.Record) bool {
+		if err := scanAll(tx, model.KindDataResource, func(r store.Row) bool {
 			total++
 			if !tx.Exists(model.KindWorkunit, r.Int("workunit")) {
 				t.Errorf("resource %d has dangling workunit", r.ID())
@@ -119,7 +119,7 @@ func TestVocabulariesSeeded(t *testing.T) {
 			t.Errorf("species terms = %d", len(terms))
 		}
 		// All samples carry valid species annotations.
-		return scanAll(tx, model.KindSample, func(r store.Record) bool {
+		return scanAll(tx, model.KindSample, func(r store.Row) bool {
 			if !sys.Vocab.Exists(tx, model.VocabSpecies, r.String("species")) {
 				t.Errorf("sample %d has unknown species %q", r.ID(), r.String("species"))
 				return false
@@ -147,7 +147,7 @@ func TestStatsTableLayout(t *testing.T) {
 }
 
 // scanAll visits the table's rows in id order until fn returns false.
-func scanAll(tx *store.Tx, table string, fn func(store.Record) bool) error {
+func scanAll(tx *store.Tx, table string, fn func(store.Row) bool) error {
 	rows, err := tx.Query(store.Query{Table: table})
 	if err != nil {
 		return err

@@ -21,7 +21,7 @@ type DB struct {
 }
 
 // listQuery streams a query's rows through a record converter.
-func listQuery[T any](tx *store.Tx, q store.Query, conv func(store.Record) T) ([]T, error) {
+func listQuery[T any](tx *store.Tx, q store.Query, conv func(store.Row) T) ([]T, error) {
 	rows, err := tx.Query(q)
 	if err != nil {
 		return nil, err

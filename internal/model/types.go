@@ -2,7 +2,6 @@ package model
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -139,12 +138,11 @@ type Experiment struct {
 
 // --- record conversions -------------------------------------------------
 //
-// The conversions accept shared record references from the store's zero-copy
-// read path. Scalar fields are value types; slice-valued fields are cloned so
-// the returned structs are fully owned by the caller and can be mutated
-// without touching committed state.
+// The conversions read the store's immutable rows. Strings share the row's
+// memory, which nothing can write; the row's list accessors return fresh
+// slices, so the returned structs are fully owned by the caller.
 
-func userFromRecord(r store.Record) User {
+func userFromRecord(r store.Row) User {
 	return User{
 		ID: r.ID(), Login: r.String("login"), FullName: r.String("fullname"),
 		Email: r.String("email"), Institute: r.Int("institute"),
@@ -153,23 +151,23 @@ func userFromRecord(r store.Record) User {
 	}
 }
 
-func organizationFromRecord(r store.Record) Organization {
+func organizationFromRecord(r store.Row) Organization {
 	return Organization{ID: r.ID(), Name: r.String("name"), Country: r.String("country")}
 }
 
-func instituteFromRecord(r store.Record) Institute {
+func instituteFromRecord(r store.Row) Institute {
 	return Institute{ID: r.ID(), Name: r.String("name"), Organization: r.Int("organization")}
 }
 
-func projectFromRecord(r store.Record) Project {
+func projectFromRecord(r store.Row) Project {
 	return Project{
 		ID: r.ID(), Name: r.String("name"), Description: r.String("description"),
-		Coach: r.Int("coach"), Members: slices.Clone(r.IDs("members")),
+		Coach: r.Int("coach"), Members: r.IDs("members"),
 		Institute: r.Int("institute"), Area: r.String("area"),
 	}
 }
 
-func sampleFromRecord(r store.Record) Sample {
+func sampleFromRecord(r store.Row) Sample {
 	return Sample{
 		ID: r.ID(), Name: r.String("name"), Project: r.Int("project"),
 		Owner: r.Int("owner"), Species: r.String("species"),
@@ -188,7 +186,7 @@ func (s Sample) values() map[string]any {
 	}
 }
 
-func extractFromRecord(r store.Record) Extract {
+func extractFromRecord(r store.Row) Extract {
 	return Extract{
 		ID: r.ID(), Name: r.String("name"), Sample: r.Int("sample"),
 		ExtractionMethod: r.String("extraction_method"), Label: r.String("label"),
@@ -206,7 +204,7 @@ func (e Extract) values() map[string]any {
 	}
 }
 
-func dataResourceFromRecord(r store.Record) DataResource {
+func dataResourceFromRecord(r store.Row) DataResource {
 	return DataResource{
 		ID: r.ID(), Name: r.String("name"), Workunit: r.Int("workunit"),
 		Extract: r.Int("extract"), URI: r.String("uri"),
@@ -216,7 +214,7 @@ func dataResourceFromRecord(r store.Record) DataResource {
 	}
 }
 
-func workunitFromRecord(r store.Record) Workunit {
+func workunitFromRecord(r store.Row) Workunit {
 	return Workunit{
 		ID: r.ID(), Name: r.String("name"), Project: r.Int("project"),
 		Owner: r.Int("owner"), Application: r.Int("application"),
@@ -225,20 +223,20 @@ func workunitFromRecord(r store.Record) Workunit {
 	}
 }
 
-func applicationFromRecord(r store.Record) Application {
+func applicationFromRecord(r store.Row) Application {
 	return Application{
 		ID: r.ID(), Name: r.String("name"), Description: r.String("description"),
 		Connector: r.String("connector"), Program: r.String("program"),
-		InputSpec: slices.Clone(r.Strings("input_spec")), ParamSpec: slices.Clone(r.Strings("param_spec")),
+		InputSpec: r.Strings("input_spec"), ParamSpec: r.Strings("param_spec"),
 		Active: r.Bool("active"),
 	}
 }
 
-func experimentFromRecord(r store.Record) Experiment {
+func experimentFromRecord(r store.Row) Experiment {
 	return Experiment{
 		ID: r.ID(), Name: r.String("name"), Project: r.Int("project"),
-		Owner: r.Int("owner"), Resources: slices.Clone(r.IDs("resources")),
-		Samples: slices.Clone(r.IDs("samples")), Extracts: slices.Clone(r.IDs("extracts")),
+		Owner: r.Int("owner"), Resources: r.IDs("resources"),
+		Samples: r.IDs("samples"), Extracts: r.IDs("extracts"),
 		Attributes:  ParseKV(r.Strings("attributes")),
 		Description: r.String("description"),
 	}

@@ -1294,7 +1294,7 @@ func (s *Server) handleDownload(w http.ResponseWriter, r *http.Request) {
 // recordProject resolves the project that gates visibility of a record, or
 // 0 when the kind is not project-scoped (organizations, users, ...). A
 // negative result means the scope could not be resolved; hide the record.
-func recordProject(tx *store.Tx, kind string, rec store.Record) int64 {
+func recordProject(tx *store.Tx, kind string, rec store.Row) int64 {
 	switch kind {
 	case model.KindProject:
 		return rec.ID()
@@ -1453,8 +1453,9 @@ func (s *Server) handleBrowseList(w http.ResponseWriter, r *http.Request) {
 	inm := r.Header.Get("If-None-Match")
 
 	// The page body streams into a pooled buffer as rows are scanned —
-	// no intermediate []store.Record — and reaches the socket in one
-	// write, so a mid-scan error can still become a clean error envelope.
+	// each row appends its JSON straight from its stored bytes — and
+	// reaches the socket in one write, so a mid-scan error can still
+	// become a clean error envelope.
 	buf := getBuf()
 	defer putBuf(buf)
 	enc := json.NewEncoder(buf)
@@ -1530,10 +1531,13 @@ func (s *Server) handleBrowseList(w http.ResponseWriter, r *http.Request) {
 			if items > 0 {
 				buf.WriteByte(',')
 			}
-			// Encode's trailing newline is insignificant JSON whitespace.
-			if err := enc.Encode(rec); err != nil {
+			// Each row ends in a newline, insignificant JSON whitespace,
+			// as json.Encoder writes it.
+			b, err := rec.AppendJSON(buf.AvailableBuffer())
+			if err != nil {
 				return err
 			}
+			buf.Write(append(b, '\n'))
 			items++
 		}
 		return rows.Err()

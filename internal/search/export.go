@@ -59,22 +59,21 @@ func (s *Service) ExportRecordsCSV(w io.Writer, kind string, ids []int64) error 
 	if !st.HasTable(kind) {
 		return fmt.Errorf("search: unknown kind %q", kind)
 	}
-	// Gather the union of fields over the exported rows. The records are
-	// read by reference in one transaction; the refs stay valid snapshots
-	// for the write loop below because committed records are immutable.
+	// Gather the union of fields over the exported rows. The rows are
+	// read in one transaction; they stay valid snapshots for the write
+	// loop below because stored rows are immutable.
 	fieldSet := make(map[string]bool)
-	records := make([]store.Record, 0, len(ids))
+	records := make([]store.Row, 0, len(ids))
 	err := st.View(func(tx *store.Tx) error {
 		for _, id := range ids {
 			r, err := tx.GetRef(kind, id)
 			if err != nil {
 				return err
 			}
-			for k := range r {
-				if k != store.IDField {
-					fieldSet[k] = true
-				}
-			}
+			r.Range(func(k string, _ any) bool {
+				fieldSet[k] = true
+				return true
+			})
 			records = append(records, r)
 		}
 		return nil
@@ -96,7 +95,7 @@ func (s *Service) ExportRecordsCSV(w io.Writer, kind string, ids []int64) error 
 		row := make([]string, 0, len(fields)+1)
 		row = append(row, strconv.FormatInt(r.ID(), 10))
 		for _, f := range fields {
-			row = append(row, fmt.Sprint(r[f]))
+			row = append(row, fmt.Sprint(r.Get(f)))
 		}
 		if err := cw.Write(row); err != nil {
 			return err

@@ -210,7 +210,8 @@ func (s *Service) Flush() {
 	type dirtyDoc struct {
 		key  string
 		kind string
-		rec  store.Record // nil: document deleted, drop its postings
+		rec  store.Row
+		live bool // false: document deleted, drop its postings
 	}
 	docs := make([]dirtyDoc, len(pending))
 	st := s.rg.Store()
@@ -228,10 +229,7 @@ func (s *Service) Flush() {
 				for i := start; i < end; i++ {
 					_, id := parseDocKey(pending[i])
 					rec, err := tx.GetRef(kind, id)
-					if err != nil {
-						rec = nil
-					}
-					docs[i] = dirtyDoc{key: pending[i], kind: kind, rec: rec}
+					docs[i] = dirtyDoc{key: pending[i], kind: kind, rec: rec, live: err == nil}
 				}
 				return nil
 			})
@@ -246,7 +244,7 @@ func (s *Service) Flush() {
 	s.mu.Lock()
 	for _, d := range docs {
 		s.removeDoc(d.key)
-		if d.rec != nil {
+		if d.live {
 			s.indexDoc(d.key, d.kind, d.rec)
 		}
 	}
@@ -279,12 +277,9 @@ func (s *Service) removeDoc(key string) {
 }
 
 // indexDoc adds a document's postings. Caller holds s.mu.
-func (s *Service) indexDoc(key, kind string, rec store.Record) {
+func (s *Service) indexDoc(key, kind string, rec store.Row) {
 	dp := docPostings{terms: make(map[string]int), fields: make(map[string]int)}
-	for field, v := range rec {
-		if field == store.IDField {
-			continue
-		}
+	rec.Range(func(field string, v any) bool {
 		var text string
 		switch x := v.(type) {
 		case string:
@@ -292,13 +287,14 @@ func (s *Service) indexDoc(key, kind string, rec store.Record) {
 		case []string:
 			text = strings.Join(x, " ")
 		default:
-			continue
+			return true
 		}
 		for _, tok := range Tokenize(text) {
 			dp.terms[tok]++
 			dp.fields[field+"\x00"+tok]++
 		}
-	}
+		return true
+	})
 	if len(dp.terms) == 0 {
 		return
 	}

@@ -316,27 +316,16 @@ func (tx *Tx) countKeys(tableName string, t *table, field string, keys []indexKe
 	if o == nil || (len(o.writes) == 0 && len(o.deletes) == 0) {
 		return n
 	}
-	inSet := func(k indexKey, ok bool) bool {
-		if !ok {
-			return false
-		}
-		for _, key := range keys {
-			if k == key {
-				return true
-			}
-		}
-		return false
-	}
 	for id := range o.deletes {
-		if old := t.get(id); old != nil && inSet(keyFor(old[field])) {
+		if t.get(id).hasKey(field, keys) {
 			n--
 		}
 	}
 	for id, pr := range o.writes {
-		if old := t.get(id); old != nil && inSet(keyFor(old[field])) {
+		if t.get(id).hasKey(field, keys) {
 			n-- // rewritten: the old key occurrence leaves the count...
 		}
-		if inSet(keyFor(pr[field])) {
+		if pr.hasKey(field, keys) {
 			n++ // ...and the pending state re-enters if it still holds one
 		}
 	}
@@ -354,19 +343,15 @@ func (tx *Tx) groupWalk(tableName string, t *table, field string) []GroupRow {
 	if o := tx.pending[tableName]; o != nil && (len(o.writes) != 0 || len(o.deletes) != 0) {
 		delta = make(map[indexKey]int)
 		for id := range o.deletes {
-			if old := t.get(id); old != nil {
-				if k, ok := keyFor(old[field]); ok {
-					delta[k]--
-				}
+			if k, ok := t.get(id).key(field); ok {
+				delta[k]--
 			}
 		}
 		for id, pr := range o.writes {
-			if old := t.get(id); old != nil {
-				if k, ok := keyFor(old[field]); ok {
-					delta[k]--
-				}
+			if k, ok := t.get(id).key(field); ok {
+				delta[k]--
 			}
-			if k, ok := keyFor(pr[field]); ok {
+			if k, ok := pr.key(field); ok {
 				delta[k]++
 			}
 		}
@@ -422,60 +407,58 @@ type aggAcc struct {
 func (tx *Tx) aggFold(t *table, pa *plannedAgg) ([]GroupRow, error) {
 	rows := &Rows{tx: tx, t: t, pq: pa.pq, q: pa.pq.query()}
 	rows.start()
-	var accs map[indexKey]*aggAcc
+	var accs map[string]*aggAcc
 	var global *aggAcc
 	if pa.groupBy == "" {
 		global = &aggAcc{cells: make([]aggCell, len(pa.aggs))}
 	} else {
-		accs = make(map[indexKey]*aggAcc)
+		accs = make(map[string]*aggAcc)
 	}
+	var kbuf [64]byte
 	for rows.Next() {
-		rec, id := rows.Record(), rows.ID()
+		rec := rows.Record()
 		a := global
 		if pa.groupBy != "" {
-			var gv any = id
-			if pa.groupBy != IDField {
-				gv = rec[pa.groupBy]
-			}
-			k, ok := keyFor(gv)
+			// The group key is built without boxing the value.
+			gf, ok := rec.field(pa.groupBy)
 			if !ok {
 				continue
 			}
-			if a = accs[k]; a == nil {
-				a = &aggAcc{key: gv, cells: make([]aggCell, len(pa.aggs))}
-				accs[k] = a
+			k, ok := gf.appendKey(kbuf[:0])
+			if !ok {
+				continue
+			}
+			if a = accs[string(k)]; a == nil {
+				a = &aggAcc{key: gf.value(), cells: make([]aggCell, len(pa.aggs))}
+				accs[string(k)] = a
 			}
 		}
 		for i, ag := range pa.aggs {
 			c := &a.cells[i]
-			switch ag.Func {
-			case AggCount:
+			if ag.Func == AggCount {
 				c.n++
 				continue
 			}
-			var v any = id
-			if ag.Field != IDField {
-				v = rec[ag.Field]
-			}
-			if v == nil {
+			v, ok := rec.field(ag.Field)
+			if !ok {
 				continue
 			}
 			switch ag.Func {
 			case AggSum:
-				switch x := v.(type) {
-				case int64:
-					c.sumI += x
-				case float64:
-					c.sumF += x
+				switch v.kind {
+				case kindInt:
+					c.sumI += v.int()
+				case kindFloat:
+					c.sumF += v.float()
 					c.sumFloat = true
 				}
 			case AggMin:
-				if c.ord == nil || compareFieldValues(v, c.ord) < 0 {
-					c.ord = v
+				if c.ord == nil || v.order(c.ord) < 0 {
+					c.ord = v.value()
 				}
 			case AggMax:
-				if c.ord == nil || compareFieldValues(v, c.ord) > 0 {
-					c.ord = v
+				if c.ord == nil || v.order(c.ord) > 0 {
+					c.ord = v.value()
 				}
 			}
 		}

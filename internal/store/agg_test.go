@@ -367,7 +367,7 @@ func TestAggOverlayVisibility(t *testing.T) {
 			t.Fatal(err)
 		}
 		for rows.Next() {
-			if k, ok := keyFor(rows.Record()["species"]); ok {
+			if k, ok := keyFor(rows.Record().Get("species")); ok {
 				want[k]++
 			}
 		}

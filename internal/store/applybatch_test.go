@@ -2,9 +2,12 @@ package store
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"maps"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -12,6 +15,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 // The tests below pin ApplyReplicated's batch contract: a run of frames
@@ -187,7 +191,7 @@ func (g *frameGen) frame() []byte {
 		tc := walTableChange{Name: name, NextID: c.nextID, Deletes: c.dels}
 		slices.Sort(tc.Deletes)
 		for _, r := range c.writes {
-			tc.Writes = append(tc.Writes, r)
+			tc.Writes = append(tc.Writes, refRow(r))
 		}
 		sort.Slice(tc.Writes, func(i, j int) bool { return tc.Writes[i].ID() < tc.Writes[j].ID() })
 		rec.Tables = append(rec.Tables, tc)
@@ -315,45 +319,45 @@ func frameOf(t testing.TB, seq uint64, tables ...walTableChange) []byte {
 	return p
 }
 
-func row(id int64, u, g string) Record { return Record{IDField: id, "u": u, "g": g} }
+func row(id int64, u, g string) Row { return refRow(Record{IDField: id, "u": u, "g": g}) }
 
 // TestApplyBatchEquivalenceCases spells out the overlay-merge corners the
 // random histories reach only by chance, each as prefix + batch.
 func TestApplyBatchEquivalenceCases(t *testing.T) {
-	seed := []walTableChange{{Name: "a", NextID: 4, Writes: []Record{row(1, "k1", "x"), row(2, "k2", "x"), row(3, "k3", "y")}}}
+	seed := []walTableChange{{Name: "a", NextID: 4, Writes: []Row{row(1, "k1", "x"), row(2, "k2", "x"), row(3, "k3", "y")}}}
 	cases := []struct {
 		name  string
 		batch [][]walTableChange
 	}{
 		{"update then delete", [][]walTableChange{
-			{{Name: "a", Writes: []Record{row(1, "k1", "y")}}},
+			{{Name: "a", Writes: []Row{row(1, "k1", "y")}}},
 			{{Name: "a", Deletes: []int64{1}}},
 		}},
 		{"delete then put", [][]walTableChange{
 			{{Name: "a", Deletes: []int64{2}}},
-			{{Name: "a", Writes: []Record{row(2, "k2b", "z")}}},
+			{{Name: "a", Writes: []Row{row(2, "k2b", "z")}}},
 		}},
 		{"insert then delete", [][]walTableChange{
-			{{Name: "a", NextID: 5, Writes: []Record{row(4, "k4", "x")}}},
+			{{Name: "a", NextID: 5, Writes: []Row{row(4, "k4", "x")}}},
 			{{Name: "a", Deletes: []int64{4}}},
 		}},
 		{"unique swap across frames", [][]walTableChange{
-			{{Name: "a", Writes: []Record{row(1, "tmp", "x")}}},
-			{{Name: "a", Writes: []Record{row(2, "k1", "x")}}},
-			{{Name: "a", Writes: []Record{row(1, "k2", "x")}}},
+			{{Name: "a", Writes: []Row{row(1, "tmp", "x")}}},
+			{{Name: "a", Writes: []Row{row(2, "k1", "x")}}},
+			{{Name: "a", Writes: []Row{row(1, "k2", "x")}}},
 		}},
 		{"unique value freed by a delete", [][]walTableChange{
 			{{Name: "a", Deletes: []int64{3}}},
-			{{Name: "a", Writes: []Record{row(1, "k3", "x")}}},
+			{{Name: "a", Writes: []Row{row(1, "k3", "x")}}},
 		}},
 		{"insert and delete in one frame", [][]walTableChange{
 			{{Name: "a", NextID: 5}},
 			{{Name: "b", NextID: 3}},
 		}},
 		{"table new mid-batch", [][]walTableChange{
-			{{Name: "b", NextID: 2, Writes: []Record{{IDField: int64(1), "n": int64(1)}}}},
-			{{Name: "late", NextID: 3, Writes: []Record{{IDField: int64(1), "n": int64(2)}, {IDField: int64(2), "n": int64(3)}}}},
-			{{Name: "b", Writes: []Record{{IDField: int64(1), "n": int64(4)}}}},
+			{{Name: "b", NextID: 2, Writes: []Row{refRow(Record{IDField: int64(1), "n": int64(1)})}}},
+			{{Name: "late", NextID: 3, Writes: []Row{refRow(Record{IDField: int64(1), "n": int64(2)}), refRow(Record{IDField: int64(2), "n": int64(3)})}}},
+			{{Name: "b", Writes: []Row{refRow(Record{IDField: int64(1), "n": int64(4)})}}},
 			{{Name: "late", Deletes: []int64{1}}, {Name: "b", NextID: 4}},
 		}},
 	}
@@ -435,6 +439,127 @@ func TestApplyBatchWALBytes(t *testing.T) {
 	if !bytes.Equal(walBytes(t, eachDir), walBytes(t, batchDir)) {
 		t.Fatal("WAL bytes differ between frame-by-frame and batched apply")
 	}
+
+	// The commit path writes the bytes it always has: a scripted history
+	// ships the same frames and leaves the same snapshot file and WAL as
+	// when rows were held as maps and encoded at commit (hashes recorded
+	// from that store).
+	shipped, snap, wal := scriptedHistory(t)
+	for _, c := range []struct {
+		name string
+		b    []byte
+		want string
+	}{
+		{"shipped frames", shipped, "ae3e33c33c95575d601678e127322cf94ac07660783197a659cb8989837fcf8e"},
+		{"snapshot file", snap, "fcd799339fd0f85dcda905abfe50df501f64ecdbe89aff6dba20981ce55bfcdd"},
+		{"wal", wal, "f0970eb91d839de330a53789591dd0087e254801a266c91e7bed9c32f1f452d3"},
+	} {
+		if got := fmt.Sprintf("%x", sha256.Sum256(c.b)); got != c.want {
+			t.Errorf("scripted history: %s hash %s, want %s", c.name, got, c.want)
+		}
+	}
+}
+
+// scriptedHistory runs a fixed history of commits through the commit path
+// of a durable primary — every value kind, HTML-significant and non-ASCII
+// strings, float edge values, times in UTC and in a fixed zone, empty
+// lists, rewrites, deletes, an insert deleted in its own transaction, a
+// snapshot mid-way — and returns the bytes it produced: the frames
+// shipped to a commit subscriber, the snapshot file, and the WAL left
+// behind.
+func scriptedHistory(t *testing.T) (frames, snapshot, wal []byte) {
+	t.Helper()
+	dir := t.TempDir()
+	s, err := Open(dir, DurabilityOptions{Sync: SyncOff, SnapshotEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"s", "t"} {
+		if err := s.CreateTable(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.CreateIndex("s", "name", true); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CreateIndex("s", "grp", false); err != nil {
+		t.Fatal(err)
+	}
+	sub, err := s.SubscribeCommits(64) // above the history's commit count: never dropped
+	if err != nil {
+		t.Fatal(err)
+	}
+	zone := time.FixedZone("CET", 3600)
+	floats := []float64{0, 0.1, -2.5, 1e-7, 1e21, 123456789.125, math.Copysign(0, -1)}
+	names := []string{"plain", "<b>&amp;</b>", "quote\"back\\slash", "tab\tnl\n", "grüezi", "line sep", "x"}
+	update := func(fn func(tx *Tx) error) {
+		t.Helper()
+		if err := s.Update(fn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	update(func(tx *Tx) error {
+		for i := 0; i < 40; i++ {
+			r := Record{
+				"name": fmt.Sprintf("%s-%d", names[i%len(names)], i),
+				"grp":  fmt.Sprintf("g%d", i%3),
+				"n":    int64(i*i - 300),
+				"f":    floats[i%len(floats)],
+				"b":    i%2 == 0,
+				"at":   time.Date(2010, 1, 1+i, 3, 4, 5, i*1000, time.UTC),
+				"tz":   time.Date(2009, 12, 31, 23, i, 0, 0, zone),
+				"ids":  make([]int64, i%3),
+				"tags": []string{},
+			}
+			for j := range r["ids"].([]int64) {
+				r["ids"].([]int64)[j] = int64(i + j)
+			}
+			if i%4 == 1 {
+				r["tags"] = []string{"t", names[i%len(names)], ""}
+			}
+			if _, err := tx.Insert("s", r); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	for i := int64(1); i <= 40; i += 7 {
+		update(func(tx *Tx) error {
+			return tx.Put("s", i, Record{"name": fmt.Sprintf("moved-%d", i), "grp": "g9", "n": i})
+		})
+	}
+	update(func(tx *Tx) error {
+		for _, id := range []int64{3, 4, 5, 30} {
+			if err := tx.Delete("s", id); err != nil {
+				return err
+			}
+		}
+		id, err := tx.Insert("t", Record{"k": "gone"})
+		if err != nil {
+			return err
+		}
+		return tx.Delete("t", id)
+	})
+	if err := s.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	update(func(tx *Tx) error {
+		_, err := tx.Insert("t", Record{"k": "after", "when": time.Date(2011, 2, 3, 4, 5, 6, 7, zone)})
+		return err
+	})
+	update(func(tx *Tx) error { return tx.Put("s", 2, Record{"name": "plain-2", "grp": "g0"}) })
+	sub.Cancel()
+	for fr := range sub.C {
+		frames = binary.LittleEndian.AppendUint64(frames, fr.Seq)
+		frames = append(frames, fr.Payload...)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if snapshot, err = os.ReadFile(filepath.Join(dir, snapshotFile)); err != nil {
+		t.Fatal(err)
+	}
+	return frames, snapshot, walBytes(t, dir)
 }
 
 // TestApplyBatchStopsAtBadFrame: a frame that does not decode, or that
@@ -495,11 +620,11 @@ func TestApplyBatchDivergencePoisons(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.SetReplica(true)
-	applyEach(t, s, [][]byte{frameOf(t, 1, walTableChange{Name: "a", NextID: 3, Writes: []Record{row(1, "k1", "x"), row(2, "k2", "x")}})})
+	applyEach(t, s, [][]byte{frameOf(t, 1, walTableChange{Name: "a", NextID: 3, Writes: []Row{row(1, "k1", "x"), row(2, "k2", "x")}})})
 
 	seq, err := s.ApplyReplicated(
-		frameOf(t, 2, walTableChange{Name: "a", Writes: []Record{row(1, "k1", "y")}}),
-		frameOf(t, 3, walTableChange{Name: "a", NextID: 4, Writes: []Record{row(3, "k2", "x")}}), // k2 is still row 2's
+		frameOf(t, 2, walTableChange{Name: "a", Writes: []Row{row(1, "k1", "y")}}),
+		frameOf(t, 3, walTableChange{Name: "a", NextID: 4, Writes: []Row{row(3, "k2", "x")}}), // k2 is still row 2's
 	)
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
@@ -554,7 +679,7 @@ func TestApplyBatchCopiesEachChunkOnce(t *testing.T) {
 	frames := make([][]byte, n)
 	for i := range frames {
 		id := int64(i + 1)
-		frames[i] = frameOf(t, uint64(id), walTableChange{Name: "a", NextID: id + 1, Writes: []Record{row(id, fmt.Sprintf("k%d", id), "x")}})
+		frames[i] = frameOf(t, uint64(id), walTableChange{Name: "a", NextID: id + 1, Writes: []Row{row(id, fmt.Sprintf("k%d", id), "x")}})
 	}
 	stats := &struct{ chunks, groups, shards, postings int }{}
 	cowStats = stats

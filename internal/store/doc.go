@@ -60,18 +60,18 @@
 // does). See DESIGN.md ("Durability") for the record format and the
 // recovery sequence.
 //
-// # Records and aliasing
+// # Records, rows and aliasing
 //
-// Records are flat maps from field name to a value of one of the supported
-// types (string, int64, float64, bool, time.Time, []int64, []string). The
-// store deep-copies records on the way in, and committed records are never
-// mutated in place afterwards: every write replaces the whole record map
-// inside a fresh version. This immutability contract is what makes both
-// the zero-copy read path and the version machinery safe — Tx.GetRef and
-// the Rows a Tx.Query returns hand out shared references to committed
-// records that remain valid snapshots even after the transaction ends,
-// provided callers treat them as read-only. Tx.Get returns a deep copy for
-// callers that mutate. See DESIGN.md for the full aliasing contract.
+// Callers write Records: flat maps from field name to a value of one of
+// the supported types (string, int64, float64, bool, time.Time, []int64,
+// []string). Insert and Put encode a Record once into a Row — the codec's
+// bytes for it, in an immutable string — and that Row is what the store
+// holds, logs, snapshots and ships. Every write replaces a whole row
+// inside a fresh version, so Tx.GetRef and the Rows a Tx.Query returns
+// hand out the stored rows themselves: consistent snapshots that remain
+// valid after the transaction ends. Row accessors read values out of the
+// bytes; Tx.Get and Row.Record decode a Record the caller may mutate. See
+// DESIGN.md for the full aliasing contract.
 //
 // # Declarative queries
 //

@@ -36,6 +36,15 @@ func keyFor(v any) (indexKey, bool) {
 	}
 }
 
+// keyValue is the field value an index key stands for, as unique-violation
+// messages print it.
+func keyValue(k indexKey) any {
+	if v, ok := decodeKey(k); ok {
+		return v
+	}
+	return k
+}
+
 // decodeKey converts an index key back to the field value it encodes —
 // the inverse of keyFor, used by grouped aggregates to report group keys
 // without reading any row. Every key keyFor produces decodes.
@@ -168,49 +177,25 @@ func (ix *index) setPostings(key indexKey, ids []int64) {
 	m[key] = ids
 }
 
-func (ix *index) insert(r Record, id int64) error {
-	v, ok := r[ix.field]
-	if !ok {
-		return nil // absent field is simply not indexed
-	}
-	key, ok := keyFor(v)
+// insert adds a row under its key IN PLACE; an absent or unindexable
+// field is simply not indexed. Only legal on a private index.
+func (ix *index) insert(r Row, id int64) error {
+	key, ok := r.key(ix.field)
 	if !ok {
 		return nil
 	}
-	return ix.insertKey(key, v, id)
-}
-
-// insertKey adds id under an already-computed key IN PLACE. Only legal on
-// a private index.
-func (ix *index) insertKey(key indexKey, v any, id int64) error {
 	ids := ix.postings(key)
-	if err := ix.checkUniqueKey(ids, v, id); err != nil {
-		return err
+	if n := len(ids); ix.unique && n > 0 && !(n == 1 && ids[0] == id) {
+		return fmt.Errorf("field %q value %v: %w", ix.field, keyValue(key), ErrUnique)
 	}
 	ix.setPostings(key, insertSorted(ids, id))
 	return nil
 }
 
-// checkUniqueKey enforces the at-most-one-row rule for unique indexes
-// given a key's current postings.
-func (ix *index) checkUniqueKey(ids []int64, v any, id int64) error {
-	n := len(ids)
-	if ix.unique && n > 0 && !(n == 1 && ids[0] == id) {
-		return fmt.Errorf("field %q value %v: %w", ix.field, v, ErrUnique)
+func (ix *index) remove(r Row, id int64) {
+	if key, ok := r.key(ix.field); ok {
+		ix.removeKey(key, id)
 	}
-	return nil
-}
-
-func (ix *index) remove(r Record, id int64) {
-	v, ok := r[ix.field]
-	if !ok {
-		return
-	}
-	key, ok := keyFor(v)
-	if !ok {
-		return
-	}
-	ix.removeKey(key, id)
 }
 
 // removeKey drops id from an already-computed key's postings IN PLACE.
@@ -251,15 +236,11 @@ func (ix *index) walkKeys(fn func(key indexKey, ids []int64) bool) {
 // unique constraint, given the committed index state plus the transaction's
 // pending overlay (pending/deleted describe rows written/deleted in the
 // transaction, keyed by id).
-func (ix *index) checkUnique(r Record, id int64, pending map[int64]Record, deleted map[int64]bool) error {
+func (ix *index) checkUnique(r Row, id int64, pending map[int64]Row, deleted map[int64]bool) error {
 	if !ix.unique {
 		return nil
 	}
-	v, ok := r[ix.field]
-	if !ok {
-		return nil
-	}
-	key, ok := keyFor(v)
+	key, ok := r.key(ix.field)
 	if !ok {
 		return nil
 	}
@@ -273,20 +254,20 @@ func (ix *index) checkUnique(r Record, id int64, pending map[int64]Record, delet
 		}
 		if pr, ok := pending[holder]; ok {
 			// Holder is being rewritten in this tx; does it still hold the key?
-			if nk, ok2 := keyFor(pr[ix.field]); ok2 && nk == key {
-				return fmt.Errorf("field %q value %v held by row %d: %w", ix.field, v, holder, ErrUnique)
+			if pr.hasKey(ix.field, []indexKey{key}) {
+				return fmt.Errorf("field %q value %v held by row %d: %w", ix.field, keyValue(key), holder, ErrUnique)
 			}
 			continue
 		}
-		return fmt.Errorf("field %q value %v held by row %d: %w", ix.field, v, holder, ErrUnique)
+		return fmt.Errorf("field %q value %v held by row %d: %w", ix.field, keyValue(key), holder, ErrUnique)
 	}
 	// Other pending writes in the same transaction.
 	for oid, pr := range pending {
 		if oid == id || deleted[oid] {
 			continue
 		}
-		if nk, ok2 := keyFor(pr[ix.field]); ok2 && nk == key {
-			return fmt.Errorf("field %q value %v pending on row %d: %w", ix.field, v, oid, ErrUnique)
+		if pr.hasKey(ix.field, []indexKey{key}) {
+			return fmt.Errorf("field %q value %v pending on row %d: %w", ix.field, keyValue(key), oid, ErrUnique)
 		}
 	}
 	return nil

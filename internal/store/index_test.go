@@ -213,7 +213,7 @@ func TestEqCollectAndLimitOne(t *testing.T) {
 	mustInsert(t, s, "sample", Record{"grp": "b", "n": int64(2)})
 	mustInsert(t, s, "sample", Record{"grp": "a", "n": int64(3)})
 	_ = s.View(func(tx *Tx) error {
-		collect := func(q Query) []Record {
+		collect := func(q Query) []Row {
 			rows, err := tx.Query(q)
 			if err != nil {
 				t.Fatal(err)

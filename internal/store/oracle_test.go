@@ -18,7 +18,7 @@ func naiveRows(t testing.TB, tx *Tx, table string) []Record {
 	for id, n := int64(1), tx.Count(table); len(out) < n; id++ {
 		r, err := tx.GetRef(table, id)
 		if err == nil {
-			out = append(out, r)
+			out = append(out, r.Record())
 		} else if !errors.Is(err, ErrNotFound) || id > 1<<22 {
 			t.Fatalf("naive walk of %s at id %d (%d of %d rows seen): %v", table, id, len(out), n, err)
 		}

@@ -3,6 +3,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"sort"
 	"sync"
@@ -215,7 +216,7 @@ func (m *refModel) insert(r Record) (int64, bool) {
 	}
 	id := m.nextID
 	m.nextID++
-	rec := r.Clone()
+	rec := maps.Clone(r)
 	rec[IDField] = id
 	m.writes[id] = rec
 	return id, true
@@ -228,7 +229,7 @@ func (m *refModel) put(id int64, r Record) error {
 	if m.uniqueConflict(r["u"], id) {
 		return ErrUnique
 	}
-	rec := r.Clone()
+	rec := maps.Clone(r)
 	rec[IDField] = id
 	m.writes[id] = rec
 	return nil

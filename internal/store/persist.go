@@ -90,10 +90,7 @@ func writeSnapshotVersion(v *version, epoch uint64, w io.Writer) (uint64, error)
 					rowsOff = len(buf)
 					buf = appendU32(buf, 0) // writes, patched at the cut
 				}
-				var err error
-				if buf, err = appendRow(buf, id, r); err != nil {
-					return 0, err
-				}
+				buf = append(buf, r.b...)
 				rows++
 			}
 			if id == 0 || len(buf)-walFrameHeaderSize >= snapChunkBytes {
@@ -148,7 +145,6 @@ func readSnapshot(r io.Reader) (*version, uint64, error) {
 		return fail("header: %v", err)
 	}
 
-	var row []byte
 	next := 0 // tables[next] is the table whose chunks are streaming
 	for {
 		payload, err := fr.next()
@@ -189,10 +185,7 @@ func readSnapshot(r io.Reader) (*version, uint64, error) {
 		// The writer cuts a chunk the moment its payload reaches
 		// snapChunkBytes: before its last row it was below that, and
 		// only a table's final chunk may end short.
-		if row, err = appendRow(row[:0], st.lastID, t.get(st.lastID)); err != nil {
-			return fail("%v", err)
-		}
-		if len(payload)-len(row) >= snapChunkBytes {
+		if len(payload)-len(t.get(st.lastID).b) >= snapChunkBytes {
 			return fail("table %q: chunk of %d bytes not cut at %d", tc.Name, len(payload), snapChunkBytes)
 		}
 		st.short = len(payload) < snapChunkBytes

@@ -189,41 +189,27 @@ func compilePred(tableName string, p Pred) (compiledPred, error) {
 }
 
 // match evaluates the predicate against one row.
-func (cp *compiledPred) match(r Record, id int64) bool {
+func (cp *compiledPred) match(r Row, id int64) bool {
 	switch cp.op {
 	case OpEq, OpIn:
 		if cp.field == IDField {
 			i := sort.Search(len(cp.ids), func(k int) bool { return cp.ids[k] >= id })
 			return i < len(cp.ids) && cp.ids[i] == id
 		}
-		key, ok := keyFor(r[cp.field])
+		return r.hasKey(cp.field, cp.keys)
+	case OpRange:
+		f, ok := r.field(cp.field)
 		if !ok {
 			return false
 		}
-		for _, k := range cp.keys {
-			if k == key {
-				return true
-			}
-		}
-		return false
-	case OpRange:
-		var v any
-		if cp.field == IDField {
-			v = id
-		} else {
-			v = r[cp.field]
-		}
-		if v == nil {
-			return false
-		}
 		if cp.min != nil {
-			c, ok := compareValues(v, cp.min)
+			c, ok := f.compareTo(cp.min)
 			if !ok || c < 0 {
 				return false
 			}
 		}
 		if cp.max != nil {
-			c, ok := compareValues(v, cp.max)
+			c, ok := f.compareTo(cp.max)
 			if !ok || c > 0 {
 				return false
 			}
@@ -330,10 +316,9 @@ func (tx *Tx) Explain(q Query) (Plan, error) {
 
 // Query plans and starts executing q, returning a streaming iterator over
 // the matching rows. The iterator reads the transaction's pinned snapshot
-// (merged with its own pending writes) lock-free; records it yields are
-// shared references under the GetRef aliasing contract — consistent
-// snapshots that stay valid after the transaction ends, but MUST NOT be
-// mutated.
+// (merged with its own pending writes) lock-free; the rows it yields are
+// the stored rows themselves — immutable, so they stay consistent
+// snapshots after the transaction ends.
 //
 // A Rows is not safe for concurrent use, but any number of concurrent
 // queries may run against the same snapshot from separate Rows values.
@@ -359,7 +344,7 @@ func (tx *Tx) Query(q Query) (*Rows, error) {
 //	rows, err := tx.Query(q)
 //	if err != nil { ... }
 //	for rows.Next() {
-//		r := rows.Record() // shared ref; do not mutate
+//		r := rows.Record() // the stored, immutable row
 //		...
 //	}
 //	if err := rows.Err(); err != nil { ... }
@@ -380,9 +365,9 @@ type Rows struct {
 	ids    []int64
 	pos    int
 	scan   *scanRows
-	sorted []Record
+	sorted []Row
 
-	cur     Record
+	cur     Row
 	curID   int64
 	emitted int
 	done    bool
@@ -433,17 +418,17 @@ func (r *Rows) start() {
 
 // next yields the next candidate row from the driver, before residual
 // filtering. id 0 means exhausted.
-func (r *Rows) next() (int64, Record) {
+func (r *Rows) next() (int64, Row) {
 	if r.scan != nil {
 		return r.scan.next()
 	}
 	for {
 		if r.q.Desc {
 			if r.pos < 0 {
-				return 0, nil
+				return 0, Row{}
 			}
 		} else if r.pos >= len(r.ids) {
-			return 0, nil
+			return 0, Row{}
 		}
 		id := r.ids[r.pos]
 		if r.q.Desc {
@@ -451,7 +436,7 @@ func (r *Rows) next() (int64, Record) {
 		} else {
 			r.pos++
 		}
-		if rec := r.tx.readRow(r.q.Table, r.t, id); rec != nil {
+		if rec := r.tx.readRow(r.q.Table, r.t, id); rec.b != "" {
 			return id, rec
 		}
 	}
@@ -493,7 +478,7 @@ func (r *Rows) Next() bool {
 }
 
 // matches applies the residual predicates.
-func (r *Rows) matches(rec Record, id int64) bool {
+func (r *Rows) matches(rec Row, id int64) bool {
 	for i := range r.pq.residuals {
 		if !r.pq.residuals[i].match(rec, id) {
 			return false
@@ -502,9 +487,8 @@ func (r *Rows) matches(rec Record, id int64) bool {
 	return true
 }
 
-// Record returns the current row as a shared reference (GetRef aliasing
-// contract: do not mutate). Valid after a true Next.
-func (r *Rows) Record() Record { return r.cur }
+// Record returns the current row. Valid after a true Next.
+func (r *Rows) Record() Row { return r.cur }
 
 // ID returns the current row's id. Valid after a true Next.
 func (r *Rows) ID() int64 { return r.curID }
@@ -516,10 +500,9 @@ func (r *Rows) Err() error { return r.err }
 // reports for the query.
 func (r *Rows) Plan() Plan { return r.pq.plan }
 
-// Collect drains the iterator and returns the remaining rows as shared
-// references (GetRef aliasing contract).
-func (r *Rows) Collect() ([]Record, error) {
-	var out []Record
+// Collect drains the iterator and returns the remaining rows.
+func (r *Rows) Collect() ([]Row, error) {
+	var out []Row
 	for r.Next() {
 		out = append(out, r.Record())
 	}
@@ -553,25 +536,35 @@ func (r *Rows) materialize() {
 	inner.q.Desc = false
 	inner.q.Cursor = 0 // rejected by the planner already; belt and braces
 	inner.start()
-	recs, err := inner.Collect()
-	if err != nil {
+	type keyed struct {
+		row Row
+		v   any
+	}
+	var recs []keyed
+	for inner.Next() {
+		row := inner.Record()
+		recs = append(recs, keyed{row, row.Get(r.q.OrderBy)})
+	}
+	if err := inner.Err(); err != nil {
 		r.err = err
 		return
 	}
-	field := r.q.OrderBy
 	sort.SliceStable(recs, func(i, j int) bool {
-		c := compareFieldValues(recs[i][field], recs[j][field])
+		c := compareFieldValues(recs[i].v, recs[j].v)
 		if c != 0 {
 			return c < 0
 		}
-		return recs[i].ID() < recs[j].ID()
+		return recs[i].row.ID() < recs[j].row.ID()
 	})
 	if r.q.Desc {
 		for i, j := 0, len(recs)-1; i < j; i, j = i+1, j-1 {
 			recs[i], recs[j] = recs[j], recs[i]
 		}
 	}
-	r.sorted = recs
+	r.sorted = make([]Row, len(recs))
+	for i, k := range recs {
+		r.sorted[i] = k.row
+	}
 }
 
 // compareFieldValues totally orders arbitrary field values for the sort
@@ -653,18 +646,8 @@ func (tx *Tx) lookupKeys(tableName string, t *table, field string, keys []indexK
 			// Below the map-build threshold the pending set is small;
 			// scan it.
 			for id, pr := range o.writes {
-				if o.deletes[id] {
-					continue
-				}
-				k, ok := keyFor(pr[field])
-				if !ok {
-					continue
-				}
-				for _, key := range keys {
-					if k == key {
-						ids = append(ids, id)
-						break
-					}
+				if !o.deletes[id] && pr.hasKey(field, keys) {
+					ids = append(ids, id)
 				}
 			}
 		}
@@ -684,7 +667,7 @@ type scanRows struct {
 	fit tableIter
 	rit revTableIter
 	cid int64
-	cr  Record
+	cr  Row
 
 	// Overlay side: write ids within bounds, ascending; walked from the
 	// front (ascending) or back (descending).
@@ -721,8 +704,8 @@ func (s *scanRows) advanceCommitted() {
 	}
 }
 
-// next returns the next live (id, record) in scan order, or (0, nil).
-func (s *scanRows) next() (int64, Record) {
+// next returns the next live (id, row) in scan order, or (0, Row{}).
+func (s *scanRows) next() (int64, Row) {
 	if s.o == nil {
 		id, rec := s.cid, s.cr
 		if id != 0 {
@@ -736,7 +719,7 @@ func (s *scanRows) next() (int64, Record) {
 			oid = s.oids[s.opos]
 		}
 		if s.cid == 0 && oid == 0 {
-			return 0, nil
+			return 0, Row{}
 		}
 		// committedFirst: emit the committed side before the overlay side.
 		committedFirst := oid == 0 || (s.cid != 0 && (!s.desc && s.cid < oid || s.desc && s.cid > oid))
@@ -786,8 +769,8 @@ func (t *table) revIter(fromID, toID int64) revTableIter {
 	return revTableIter{t: t, id: toID, fromID: fromID}
 }
 
-// next returns the next live (id, record) counting down, or (0, nil).
-func (it *revTableIter) next() (int64, Record) {
+// next returns the next live (id, row) counting down, or (0, Row{}).
+func (it *revTableIter) next() (int64, Row) {
 	for it.id >= it.fromID {
 		ci, si := chunkPos(it.id)
 		if ci >= len(it.t.chunks) {
@@ -806,10 +789,10 @@ func (it *revTableIter) next() (int64, Record) {
 			id := it.id
 			si--
 			it.id--
-			if r != nil {
+			if r.b != "" {
 				return id, r
 			}
 		}
 	}
-	return 0, nil
+	return 0, Row{}
 }

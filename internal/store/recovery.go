@@ -239,7 +239,7 @@ func applyWALRecord(v *version, rec walRecord) error {
 			v.tables[tc.Name] = t
 		}
 		for _, id := range tc.Deletes {
-			if old := t.get(id); old != nil {
+			if old := t.get(id); old.b != "" {
 				for _, ix := range t.indexes {
 					ix.remove(old, id)
 				}
@@ -251,7 +251,7 @@ func applyWALRecord(v *version, rec walRecord) error {
 		// unique-value swap within one transaction must replay exactly
 		// as it committed.
 		for _, r := range tc.Writes {
-			if old := t.get(r.ID()); old != nil {
+			if old := t.get(r.ID()); old.b != "" {
 				for _, ix := range t.indexes {
 					ix.remove(old, r.ID())
 				}

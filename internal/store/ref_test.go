@@ -4,6 +4,7 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // idRange builds the id-window query ScanRange used to spell: 0 means
@@ -172,7 +173,7 @@ func TestRefSnapshotImmutability(t *testing.T) {
 	s := newTestStore(t, "t")
 	id := mustInsert(t, s, "t", Record{"v": "before", "tags": []string{"x"}})
 
-	var ref, rowRef Record
+	var ref, rowRef Row
 	err := s.View(func(tx *Tx) error {
 		var err error
 		if ref, err = tx.GetRef("t", id); err != nil {
@@ -199,7 +200,7 @@ func TestRefSnapshotImmutability(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for name, held := range map[string]Record{"GetRef": ref, "Rows.Record": rowRef} {
+	for name, held := range map[string]Row{"GetRef": ref, "Rows.Record": rowRef} {
 		if got := held.String("v"); got != "before" {
 			t.Fatalf("held %s ref mutated: v = %q, want %q", name, got, "before")
 		}
@@ -262,7 +263,7 @@ func TestRefReadersNeverSeeTornRecords(t *testing.T) {
 		go func(r int) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				var held []Record
+				var held []Row
 				err := s.View(func(tx *Tx) error {
 					// Every row is read through Rows.Record and again
 					// through GetRef.
@@ -323,8 +324,10 @@ func TestLookupRewriteNoDuplicates(t *testing.T) {
 	}
 }
 
-// TestRowsShareRecords verifies Rows.Record and Collect return the
-// committed maps themselves (no copies) while Get returns independent clones.
+// TestRowsShareRecords verifies Rows.Record, Collect and GetRef hand out
+// the stored row itself (the same bytes, no copy) while Get and
+// Row.Record decode copies the caller may mutate without reaching the
+// store, and the list accessors return fresh slices.
 func TestRowsShareRecords(t *testing.T) {
 	s := newTestStore(t, "t")
 	if err := s.CreateIndex("t", "grp", false); err != nil {
@@ -344,17 +347,19 @@ func TestRowsShareRecords(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		// Same underlying map: mutating would be a contract violation, but
-		// identity is observable through shared slice storage.
-		if &refs[0].Strings("tags")[0] != &ref2.Strings("tags")[0] {
+		if unsafe.StringData(refs[0].b) != unsafe.StringData(ref2.b) {
 			t.Error("Rows and GetRef returned different copies")
 		}
 		clone, err := tx.Get("t", refs[0].ID())
 		if err != nil {
 			return err
 		}
-		if &clone.Strings("tags")[0] == &refs[0].Strings("tags")[0] {
-			t.Error("Get returned a shared record, want a deep copy")
+		clone.Strings("tags")[0] = "mutated"
+		clone["grp"] = "h"
+		tags := ref2.Strings("tags")
+		tags[0] = "mutated too"
+		if got := ref2.Strings("tags"); len(got) != 1 || got[0] != "a" || ref2.String("grp") != "g" {
+			t.Errorf("writes to copies reached the stored row: tags %v grp %q", got, ref2.String("grp"))
 		}
 		return nil
 	})

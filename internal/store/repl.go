@@ -409,7 +409,7 @@ func (o *txTable) mergeFrame(tc walTableChange, seq uint64) {
 		id := r.ID()
 		delete(o.deletes, id)
 		if o.writes == nil {
-			o.writes = make(map[int64]Record, len(tc.Writes))
+			o.writes = make(map[int64]Row, len(tc.Writes))
 		}
 		o.writes[id] = r
 	}

@@ -9,10 +9,11 @@ import (
 	"time"
 )
 
-// Record is a single stored row: a flat map from field name to value.
-// Supported value types are string, int64, float64, bool, time.Time,
-// []int64 and []string. The ID field is managed by the store and is
-// exposed under the "id" key on read.
+// Record is a row as callers build and own it: a flat map from field name
+// to value. Supported value types are string, int64, float64, bool,
+// time.Time, []int64 and []string. Insert and Put encode a Record into the
+// Row the store keeps; Get and Row.Record decode one back. The ID field is
+// managed by the store and appears under the "id" key on read.
 type Record map[string]any
 
 // IDField is the reserved record key that carries the record identifier.
@@ -22,18 +23,6 @@ const IDField = "id"
 func (r Record) ID() int64 {
 	id, _ := r[IDField].(int64)
 	return id
-}
-
-// Clone returns a deep copy of the record.
-func (r Record) Clone() Record {
-	if r == nil {
-		return nil
-	}
-	out := make(Record, len(r))
-	for k, v := range r {
-		out[k] = cloneValue(v)
-	}
-	return out
 }
 
 // String returns the string stored under key, or "" if absent or of a
@@ -77,32 +66,6 @@ func (r Record) IDs(key string) []int64 {
 func (r Record) Strings(key string) []string {
 	v, _ := r[key].([]string)
 	return v
-}
-
-func cloneValue(v any) any {
-	switch x := v.(type) {
-	case []int64:
-		out := make([]int64, len(x))
-		copy(out, x)
-		return out
-	case []string:
-		out := make([]string, len(x))
-		copy(out, x)
-		return out
-	default:
-		// Scalars (string, int64, float64, bool, time.Time) are value types.
-		return v
-	}
-}
-
-// validValue reports whether v is one of the supported record value types.
-func validValue(v any) bool {
-	switch v.(type) {
-	case string, int64, float64, bool, time.Time, []int64, []string:
-		return true
-	default:
-		return false
-	}
 }
 
 // Store is an embedded transactional record store with multi-version
@@ -321,8 +284,8 @@ func (s *Store) Close() error {
 	return err
 }
 
-// Get returns a copy of the record with the given id, outside any
-// transaction, from the latest committed version.
+// Get returns the record with the given id, decoded into a Record the
+// caller owns, outside any transaction, from the latest committed version.
 func (s *Store) Get(tableName string, id int64) (Record, error) {
 	v := s.current.Load()
 	t, ok := v.tables[tableName]
@@ -330,10 +293,10 @@ func (s *Store) Get(tableName string, id int64) (Record, error) {
 		return nil, fmt.Errorf("store: table %q: %w", tableName, ErrNoTable)
 	}
 	r := t.get(id)
-	if r == nil {
+	if r.b == "" {
 		return nil, fmt.Errorf("store: %s/%d: %w", tableName, id, ErrNotFound)
 	}
-	return r.Clone(), nil
+	return r.Record(), nil
 }
 
 // Count returns the number of records in the named table in the latest

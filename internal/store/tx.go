@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // Tx is a transaction over the store, pinned to the immutable version that
@@ -40,9 +41,9 @@ type Tx struct {
 
 // txTable is the pending overlay for one table within a transaction.
 type txTable struct {
-	writes  map[int64]Record // id -> new record state (deep copies)
-	deletes map[int64]bool   // id -> deleted in this tx
-	nextID  int64            // provisional next id (0 = untouched)
+	writes  map[int64]Row  // id -> new row state
+	deletes map[int64]bool // id -> deleted in this tx
+	nextID  int64          // provisional next id (0 = untouched)
 	// lastSeq, when set, is the TableSeq stamp the install gives the
 	// table instead of the commit's own seq: a replicated run stamps each
 	// table with the seq of the last frame that touched it.
@@ -82,7 +83,7 @@ func (o *txTable) buildIxw(t *table) {
 // ixAdd registers a pending write's indexed keys in the overlay maps,
 // building the maps when the overlay crosses the size threshold. Must be
 // called after the write is installed in o.writes.
-func (o *txTable) ixAdd(t *table, id int64, rec Record) {
+func (o *txTable) ixAdd(t *table, id int64, rec Row) {
 	if o.ixw == nil {
 		if len(o.writes) < ixwBuildThreshold || len(t.indexes) == 0 {
 			return
@@ -96,13 +97,9 @@ func (o *txTable) ixAdd(t *table, id int64, rec Record) {
 // ixRegister adds one record's keys to already-materialized overlay maps.
 // Serial ids make the per-key slices naturally append-ordered; out-of-order
 // ids (rewrites of committed rows) fall back to a sorted insert.
-func (o *txTable) ixRegister(t *table, id int64, rec Record) {
+func (o *txTable) ixRegister(t *table, id int64, rec Row) {
 	for f := range t.indexes {
-		v, ok := rec[f]
-		if !ok {
-			continue
-		}
-		key, ok := keyFor(v)
+		key, ok := rec.key(f)
 		if !ok {
 			continue
 		}
@@ -117,7 +114,7 @@ func (o *txTable) ixRegister(t *table, id int64, rec Record) {
 
 // ixRemove drops a pending write's indexed keys from the overlay maps,
 // the inverse of ixRegister. A no-op below the build threshold.
-func (o *txTable) ixRemove(t *table, id int64, rec Record) {
+func (o *txTable) ixRemove(t *table, id int64, rec Row) {
 	if o.ixw == nil {
 		return
 	}
@@ -126,11 +123,7 @@ func (o *txTable) ixRemove(t *table, id int64, rec Record) {
 		if m == nil {
 			continue
 		}
-		v, ok := rec[f]
-		if !ok {
-			continue
-		}
-		key, ok := keyFor(v)
+		key, ok := rec.key(f)
 		if !ok {
 			continue
 		}
@@ -157,7 +150,7 @@ func (o *txTable) pendingIDs(field string, key indexKey) []int64 {
 // holds at most the pending writers of the key, and a unique committed
 // key holds at most one row. Below the build threshold the (small)
 // pending set is scanned instead.
-func (o *txTable) checkUnique(t *table, rec Record, id int64) error {
+func (o *txTable) checkUnique(t *table, rec Row, id int64) error {
 	if o.ixw == nil {
 		for _, ix := range t.indexes {
 			if err := ix.checkUnique(rec, id, o.writes, o.deletes); err != nil {
@@ -170,17 +163,13 @@ func (o *txTable) checkUnique(t *table, rec Record, id int64) error {
 		if !ix.unique {
 			continue
 		}
-		v, ok := rec[ix.field]
-		if !ok {
-			continue
-		}
-		key, ok := keyFor(v)
+		key, ok := rec.key(ix.field)
 		if !ok {
 			continue
 		}
 		for _, holder := range o.pendingIDs(ix.field, key) {
 			if holder != id {
-				return fmt.Errorf("field %q value %v pending on row %d: %w", ix.field, v, holder, ErrUnique)
+				return fmt.Errorf("field %q value %v pending on row %d: %w", ix.field, keyValue(key), holder, ErrUnique)
 			}
 		}
 		for _, holder := range ix.postings(key) {
@@ -192,7 +181,7 @@ func (o *txTable) checkUnique(t *table, rec Record, id int64) error {
 				// was probed above; its committed key no longer counts.
 				continue
 			}
-			return fmt.Errorf("field %q value %v held by row %d: %w", ix.field, v, holder, ErrUnique)
+			return fmt.Errorf("field %q value %v held by row %d: %w", ix.field, keyValue(key), holder, ErrUnique)
 		}
 	}
 	return nil
@@ -300,26 +289,31 @@ func (tx *Tx) overlay(name string) *txTable {
 		if tx.pending == nil {
 			tx.pending = make(map[string]*txTable)
 		}
-		o = &txTable{writes: make(map[int64]Record), deletes: make(map[int64]bool)}
+		o = &txTable{writes: make(map[int64]Row), deletes: make(map[int64]bool)}
 		tx.pending[name] = o
 	}
 	return o
 }
 
-func validateRecord(r Record) error {
-	for k, v := range r {
-		if k == IDField {
-			continue
-		}
-		if !validValue(v) {
-			return fmt.Errorf("store: field %q has %T: %w", k, v, ErrBadValue)
-		}
+// encBufs recycles the scratch buffers rows are encoded through, so a
+// short transaction does not grow a fresh one.
+var encBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// encodeRow encodes r as the row with the given id: the one copy a write
+// makes of the caller's record.
+func encodeRow(id int64, r Record) (Row, error) {
+	bp := encBufs.Get().(*[]byte)
+	defer encBufs.Put(bp)
+	buf, err := appendRow((*bp)[:0], id, r)
+	if err != nil {
+		return Row{}, err
 	}
-	return nil
+	*bp = buf
+	return Row{string(buf)}, nil
 }
 
 // Insert adds a new record to the named table and returns its assigned ID.
-// The input record is not modified.
+// The input record is not modified; the store keeps its encoding.
 func (tx *Tx) Insert(tableName string, r Record) (int64, error) {
 	if tx.done {
 		return 0, ErrTxDone
@@ -331,24 +325,22 @@ func (tx *Tx) Insert(tableName string, r Record) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := validateRecord(r); err != nil {
+	id := t.nextID
+	if o := tx.pending[tableName]; o != nil && o.nextID != 0 {
+		id = o.nextID
+	}
+	rec, err := encodeRow(id, r)
+	if err != nil {
 		return 0, err
 	}
 	o := tx.overlay(tableName)
-	if o.nextID == 0 {
-		o.nextID = t.nextID
-	}
-	id := o.nextID
-	o.nextID++
-	rec := r.Clone()
-	rec[IDField] = id
 	// Check every unique index before registering anything, so a failed
 	// Insert leaves no partial overlay state behind: the provisional id is
-	// rolled back and no overlay-map entry was ever written.
+	// not claimed and no overlay-map entry was ever written.
 	if err := o.checkUnique(t, rec, id); err != nil {
-		o.nextID-- // roll back the provisional id
 		return 0, err
 	}
+	o.nextID = id + 1
 	o.writes[id] = rec
 	delete(o.deletes, id)
 	o.ixAdd(t, id, rec)
@@ -367,14 +359,13 @@ func (tx *Tx) Put(tableName string, id int64, r Record) error {
 	if err != nil {
 		return err
 	}
-	if err := validateRecord(r); err != nil {
+	rec, err := encodeRow(id, r)
+	if err != nil {
 		return err
 	}
-	if tx.readRow(tableName, t, id) == nil {
+	if tx.readRow(tableName, t, id).b == "" {
 		return fmt.Errorf("store: %s/%d: %w", tableName, id, ErrNotFound)
 	}
-	rec := r.Clone()
-	rec[IDField] = id
 	o := tx.overlay(tableName)
 	if err := o.checkUnique(t, rec, id); err != nil {
 		return err
@@ -401,7 +392,7 @@ func (tx *Tx) Delete(tableName string, id int64) error {
 	if err != nil {
 		return err
 	}
-	if tx.readRow(tableName, t, id) == nil {
+	if tx.readRow(tableName, t, id).b == "" {
 		return fmt.Errorf("store: %s/%d: %w", tableName, id, ErrNotFound)
 	}
 	o := tx.overlay(tableName)
@@ -415,11 +406,11 @@ func (tx *Tx) Delete(tableName string, id int64) error {
 
 // readRow is the one overlay-shadowing point read: the live row with the
 // given id as the transaction sees it — pending deletes, then pending
-// writes, then the pinned version — or nil.
-func (tx *Tx) readRow(tableName string, t *table, id int64) Record {
+// writes, then the pinned version — or the zero Row.
+func (tx *Tx) readRow(tableName string, t *table, id int64) Row {
 	if o, ok := tx.pending[tableName]; ok {
 		if o.deletes[id] {
-			return nil
+			return Row{}
 		}
 		if rec, ok := o.writes[id]; ok {
 			return rec
@@ -428,36 +419,32 @@ func (tx *Tx) readRow(tableName string, t *table, id int64) Record {
 	return t.get(id)
 }
 
-// Get returns a copy of the record with the given id, observing the
-// transaction's own pending writes. The copy is the caller's to mutate.
+// Get returns the record with the given id decoded into a Record the
+// caller owns and may mutate, observing the transaction's own pending
+// writes.
 func (tx *Tx) Get(tableName string, id int64) (Record, error) {
 	r, err := tx.GetRef(tableName, id)
 	if err != nil {
 		return nil, err
 	}
-	return r.Clone(), nil
+	return r.Record(), nil
 }
 
-// GetRef returns the record with the given id without copying it, observing
-// the transaction's own pending writes.
-//
-// Aliasing contract: the returned record (including its slice values) is
-// shared with the store and MUST NOT be mutated. Committed records are
-// immutable — writes replace whole record maps in a fresh store version —
-// so the reference stays a valid, consistent snapshot even after the
-// transaction ends. Callers that need to modify the record must use Get
-// (or Clone the reference).
-func (tx *Tx) GetRef(tableName string, id int64) (Record, error) {
+// GetRef returns the row with the given id without copying it, observing
+// the transaction's own pending writes. Rows are immutable — a write
+// replaces the whole row in a fresh store version — so the row stays a
+// consistent snapshot after the transaction ends.
+func (tx *Tx) GetRef(tableName string, id int64) (Row, error) {
 	if tx.done {
-		return nil, ErrTxDone
+		return Row{}, ErrTxDone
 	}
 	t, err := tx.table(tableName)
 	if err != nil {
-		return nil, err
+		return Row{}, err
 	}
 	r := tx.readRow(tableName, t, id)
-	if r == nil {
-		return nil, fmt.Errorf("store: %s/%d: %w", tableName, id, ErrNotFound)
+	if r.b == "" {
+		return Row{}, fmt.Errorf("store: %s/%d: %w", tableName, id, ErrNotFound)
 	}
 	return r, nil
 }
@@ -471,7 +458,7 @@ func (tx *Tx) Exists(tableName string, id int64) bool {
 	if err != nil {
 		return false
 	}
-	return tx.readRow(tableName, t, id) != nil
+	return tx.readRow(tableName, t, id).b != ""
 }
 
 // Count returns the number of live records in the table as seen by the
@@ -495,12 +482,12 @@ func (tx *Tx) liveCount(tableName string, t *table) int {
 	n := t.count
 	if o, ok := tx.pending[tableName]; ok {
 		for id := range o.writes {
-			if t.get(id) == nil {
+			if t.get(id).b == "" {
 				n++
 			}
 		}
 		for id := range o.deletes {
-			if t.get(id) != nil {
+			if t.get(id).b != "" {
 				n--
 			}
 		}
@@ -633,11 +620,7 @@ func (tx *Tx) commitLocked() error {
 	var payload []byte
 	var seq uint64
 	if s.wal != nil || len(s.replSubs) > 0 {
-		var err error
-		payload, seq, err = tx.encodeWALPayload(base)
-		if err != nil {
-			return err
-		}
+		payload, seq = tx.encodeWALPayload(base)
 	}
 	if s.wal != nil && seq != 0 {
 		if err := s.wal.append(seq, payload); err != nil {
@@ -672,12 +655,12 @@ func (tx *Tx) commitLocked() error {
 // encodeWALPayload serializes the transaction's pending overlay directly
 // into the store's reusable scratch buffer (commits are serialized by the
 // writer mutex, and wal.append copies the bytes out synchronously, so
-// single ownership holds). The base version supplies the commit sequence
-// and the per-table serial high-water marks. It returns seq 0 when the
-// transaction touched nothing worth logging. The byte layout is
-// walcodec.go's; equivalence with the struct-based encoder is pinned by
-// TestWALEncoderEquivalence.
-func (tx *Tx) encodeWALPayload(base *version) ([]byte, uint64, error) {
+// single ownership holds). Writes are their rows' bytes, concatenated.
+// The base version supplies the commit sequence and the per-table serial
+// high-water marks. It returns seq 0 when the transaction touched nothing
+// worth logging. The byte layout is walcodec.go's; equivalence with the
+// struct-based encoder is pinned by TestWALEncoderEquivalence.
+func (tx *Tx) encodeWALPayload(base *version) ([]byte, uint64) {
 	s := tx.s
 	seq := base.seq + 1
 	buf := s.walEncBuf[:0]
@@ -725,17 +708,14 @@ func (tx *Tx) encodeWALPayload(base *version) ([]byte, uint64, error) {
 			}
 			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 			for _, id := range ids {
-				var err error
-				if buf, err = appendRow(buf, id, o.writes[id]); err != nil {
-					return nil, 0, err
-				}
+				buf = append(buf, o.writes[id].b...)
 			}
 		}
 	}
 	binary.LittleEndian.PutUint32(buf[countOff:], nTables)
 	s.walEncBuf = buf // keep the grown capacity for the next commit
 	if nTables == 0 {
-		return nil, 0, nil
+		return nil, 0
 	}
-	return buf, seq, nil
+	return buf, seq
 }

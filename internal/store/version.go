@@ -33,14 +33,14 @@ const (
 )
 
 // chunk holds one fixed-size run of a table's id space: slot i of the
-// chunk covering ids (base, base+chunkSize] carries the record with
-// id base+i+1, or nil if that id is free or deleted. seqs carries, per
+// chunk covering ids (base, base+chunkSize] carries the row with
+// id base+i+1, or the zero Row if that id is free or deleted. seqs carries, per
 // slot, the commit sequence that last wrote it — including deletions,
 // where the slot keeps the deleting commit's seq as a tombstone stamp.
 // Those stamps are what first-committer-wins conflict detection compares
 // against a transaction's snapshot sequence.
 type chunk struct {
-	recs [chunkSize]Record
+	recs [chunkSize]Row
 	seqs [chunkSize]uint64
 }
 
@@ -91,18 +91,18 @@ func chunkPos(id int64) (int, int) {
 	return int((id - 1) >> chunkBits), int((id - 1) & chunkMask)
 }
 
-// get returns the live record with the given id, or nil.
-func (t *table) get(id int64) Record {
+// get returns the live row with the given id, or the zero Row.
+func (t *table) get(id int64) Row {
 	if id < 1 {
-		return nil
+		return Row{}
 	}
 	ci, si := chunkPos(id)
 	if ci >= len(t.chunks) {
-		return nil
+		return Row{}
 	}
 	c := t.chunks[ci]
 	if c == nil {
-		return nil
+		return Row{}
 	}
 	return c.recs[si]
 }
@@ -127,7 +127,7 @@ func (t *table) seqOf(id int64) uint64 {
 
 // put installs a record IN PLACE, growing the chunk slice as needed.
 // Only legal on tables not yet reachable by readers (applyWALRecord).
-func (t *table) put(id int64, rec Record, seq uint64) {
+func (t *table) put(id int64, rec Row, seq uint64) {
 	ci, si := chunkPos(id)
 	for ci >= len(t.chunks) {
 		t.chunks = append(t.chunks, nil)
@@ -137,7 +137,7 @@ func (t *table) put(id int64, rec Record, seq uint64) {
 		c = new(chunk)
 		t.chunks[ci] = c
 	}
-	if c.recs[si] == nil {
+	if c.recs[si].b == "" {
 		t.count++
 	}
 	c.recs[si] = rec
@@ -152,8 +152,8 @@ func (t *table) del(id int64, seq uint64) {
 		return
 	}
 	c := t.chunks[ci]
-	if c.recs[si] != nil {
-		c.recs[si] = nil
+	if c.recs[si].b != "" {
+		c.recs[si] = Row{}
 		t.count--
 	}
 	c.seqs[si] = seq
@@ -194,12 +194,12 @@ func (t *table) iter(fromID, toID int64) tableIter {
 	return tableIter{t: t, id: fromID, toID: toID}
 }
 
-// next returns the next live (id, record), or (0, nil) when exhausted.
-func (it *tableIter) next() (int64, Record) {
+// next returns the next live (id, row), or (0, Row{}) when exhausted.
+func (it *tableIter) next() (int64, Row) {
 	for it.id > 0 && it.id <= it.toID {
 		ci, si := chunkPos(it.id)
 		if ci >= len(it.t.chunks) {
-			return 0, nil
+			return 0, Row{}
 		}
 		c := it.t.chunks[ci]
 		if c == nil {
@@ -211,12 +211,12 @@ func (it *tableIter) next() (int64, Record) {
 			id := it.id
 			si++
 			it.id++
-			if r != nil {
+			if r.b != "" {
 				return id, r
 			}
 		}
 	}
-	return 0, nil
+	return 0, Row{}
 }
 
 // cowStats, when non-nil, counts copy-on-write privatizations during
@@ -265,9 +265,9 @@ func (ct *cowTable) chunkFor(id int64) (*chunk, int) {
 	return ct.t.chunks[ci], si
 }
 
-func (ct *cowTable) put(id int64, rec Record, seq uint64) {
+func (ct *cowTable) put(id int64, rec Row, seq uint64) {
 	c, si := ct.chunkFor(id)
-	if c.recs[si] == nil {
+	if c.recs[si].b == "" {
 		ct.t.count++
 	}
 	c.recs[si] = rec
@@ -276,8 +276,8 @@ func (ct *cowTable) put(id int64, rec Record, seq uint64) {
 
 func (ct *cowTable) del(id int64, seq uint64) {
 	c, si := ct.chunkFor(id)
-	if c.recs[si] != nil {
-		c.recs[si] = nil
+	if c.recs[si].b != "" {
+		c.recs[si] = Row{}
 		ct.t.count--
 	}
 	c.seqs[si] = seq
@@ -342,13 +342,12 @@ func (ci *cowIndex) shardFor(key indexKey) map[indexKey][]int64 {
 // applyDelta installs one key's net postings change for this commit:
 // removes and adds are disjoint ascending id runs, applied in a single
 // sorted-run merge so the key's postings are rebuilt (or appended to) at
-// most once per commit, however many records moved under it. val is a
-// representative field value for unique-violation messages.
-func (ci *cowIndex) applyDelta(key indexKey, removes, adds []int64, val any) error {
+// most once per commit, however many records moved under it.
+func (ci *cowIndex) applyDelta(key indexKey, removes, adds []int64) error {
 	m := ci.shardFor(key)
 	ids := m[key]
 	if ci.ix.unique && len(ids)-len(removes)+len(adds) > 1 {
-		return fmt.Errorf("field %q value %v: %w", ci.ix.field, val, ErrUnique)
+		return fmt.Errorf("field %q value %v: %w", ci.ix.field, keyValue(key), ErrUnique)
 	}
 	if len(removes) == 0 {
 		if len(adds) == 0 {
@@ -398,7 +397,7 @@ func (ci *cowIndex) applyDelta(key indexKey, removes, adds []int64, val any) err
 		return nil
 	}
 	if ci.ix.unique && len(merged) > 1 {
-		return fmt.Errorf("field %q value %v: %w", ci.ix.field, val, ErrUnique)
+		return fmt.Errorf("field %q value %v: %w", ci.ix.field, keyValue(key), ErrUnique)
 	}
 	m[key] = merged
 	return nil
@@ -406,10 +405,9 @@ func (ci *cowIndex) applyDelta(key indexKey, removes, adds []int64, val any) err
 
 // keyDelta accumulates one index key's net postings change for a commit:
 // the ascending ids leaving the key and the ascending ids arriving under
-// it. val is a representative record value for error messages.
+// it.
 type keyDelta struct {
 	removes, adds []int64
-	val           any
 }
 
 // applyOverlay derives the successor of base, at commit sequence seq, by
@@ -475,7 +473,7 @@ func applyOverlay(base *version, pending map[string]*txTable, seq uint64) (*vers
 			delIDs = append(delIDs, id)
 		}
 		sort.Slice(delIDs, func(i, j int) bool { return delIDs[i] < delIDs[j] })
-		oldDels := make([]Record, len(delIDs))
+		oldDels := make([]Row, len(delIDs))
 		for i, id := range delIDs {
 			oldDels[i] = ct.t.get(id)
 		}
@@ -485,53 +483,55 @@ func applyOverlay(base *version, pending map[string]*txTable, seq uint64) (*vers
 			writeIDs = append(writeIDs, id)
 		}
 		sort.Slice(writeIDs, func(i, j int) bool { return writeIDs[i] < writeIDs[j] })
-		olds := make([]Record, len(writeIDs))
+		olds := make([]Row, len(writeIDs))
 		for i, id := range writeIDs {
 			olds[i] = ct.t.get(id)
 		}
 
 		// Per-field postings deltas, built before any chunk mutation so
-		// old records are still reachable. Ids arrive in ascending order,
+		// old rows are still reachable. Ids arrive in ascending order,
 		// so each delta's runs are naturally sorted.
 		for f := range ct.t.indexes {
 			var deltas map[indexKey]*keyDelta
-			delta := func(key indexKey, val any) *keyDelta {
+			delta := func(key indexKey) *keyDelta {
 				if deltas == nil {
 					deltas = make(map[indexKey]*keyDelta)
 				}
 				d := deltas[key]
 				if d == nil {
-					d = &keyDelta{val: val}
+					d = &keyDelta{}
 					deltas[key] = d
 				}
 				return d
 			}
 			for i, id := range delIDs {
-				if oldDels[i] == nil {
-					continue
-				}
-				if key, ok := keyFor(oldDels[i][f]); ok {
-					d := delta(key, oldDels[i][f])
+				if key, ok := oldDels[i].key(f); ok {
+					d := delta(key)
 					d.removes = append(d.removes, id)
 				}
 			}
 			for i, id := range writeIDs {
-				rec := o.writes[id]
-				var okey, nkey indexKey
-				var ook, nok bool
-				if olds[i] != nil {
-					okey, ook = keyFor(olds[i][f])
+				of, ook := olds[i].field(f)
+				nf, nok := o.writes[id].field(f)
+				if ook == nok && of.kind == nf.kind && of.val == nf.val {
+					continue // same bytes (or absent on both sides): same key
 				}
-				nkey, nok = keyFor(rec[f])
+				var okey, nkey indexKey
+				if ook {
+					okey, ook = of.key()
+				}
+				if nok {
+					nkey, nok = nf.key()
+				}
 				if ook == nok && okey == nkey {
 					continue // unchanged (or unindexable on both sides)
 				}
 				if ook {
-					d := delta(okey, olds[i][f])
+					d := delta(okey)
 					d.removes = append(d.removes, id)
 				}
 				if nok {
-					d := delta(nkey, rec[f])
+					d := delta(nkey)
 					d.adds = append(d.adds, id)
 				}
 			}
@@ -545,7 +545,7 @@ func applyOverlay(base *version, pending map[string]*txTable, seq uint64) (*vers
 				if !slices.IsSorted(d.removes) {
 					slices.Sort(d.removes)
 				}
-				if err := ci.applyDelta(key, d.removes, d.adds, d.val); err != nil {
+				if err := ci.applyDelta(key, d.removes, d.adds); err != nil {
 					return nil, err
 				}
 			}
@@ -554,7 +554,7 @@ func applyOverlay(base *version, pending map[string]*txTable, seq uint64) (*vers
 		// Chunk mutations, in the WAL replay order: deletions first, then
 		// writes in ascending id order.
 		for i, id := range delIDs {
-			if oldDels[i] != nil {
+			if oldDels[i].b != "" {
 				ct.del(id, nv.seq)
 			}
 		}

@@ -112,7 +112,7 @@ type walTableChange struct {
 	Name    string
 	NextID  int64 // post-commit nextID; 0 = unchanged
 	Deletes []int64
-	Writes  []Record // each carries its id under IDField
+	Writes  []Row
 }
 
 // walSegment describes one on-disk WAL segment.
@@ -373,7 +373,9 @@ func (w *wal) sync() {
 	} else if target > w.synced {
 		w.synced = target
 	}
-	w.syncCond.Broadcast()
+	if !firstFailure {
+		w.syncCond.Broadcast()
+	}
 	w.syncMu.Unlock()
 
 	if firstFailure {
@@ -382,6 +384,8 @@ func (w *wal) sync() {
 		// even under SyncAlways, where the install precedes the wait),
 		// acknowledged in-memory state would diverge from durable state
 		// without bound. And tell the host process now, not at Close.
+		// Waiters are woken only afterwards, so a committer told its
+		// commit failed finds the store already refusing writes.
 		w.mu.Lock()
 		if w.appendErr == nil {
 			w.appendErr = err
@@ -390,6 +394,9 @@ func (w *wal) sync() {
 		if w.onError != nil {
 			w.onError(err)
 		}
+		w.syncMu.Lock()
+		w.syncCond.Broadcast()
+		w.syncMu.Unlock()
 	}
 }
 
@@ -632,12 +639,20 @@ func (fr *walFrameReader) next() ([]byte, error) {
 		payload = make([]byte, length)
 		n, err = io.ReadFull(fr.r, payload)
 	} else {
-		// Grow with the bytes actually present: a corrupt length costs
-		// what the input holds, not an allocation of up to walMaxFrameSize.
-		payload, err = io.ReadAll(io.LimitReader(fr.r, int64(length)))
-		if n = len(payload); err == nil && n < int(length) {
-			err = io.ErrUnexpectedEOF
+		// Grow by doubling from the buffer size up to the declared length:
+		// a genuine big frame costs a few large copies, and a corrupt
+		// length costs about twice the bytes the input holds, not an
+		// allocation of up to walMaxFrameSize.
+		payload = make([]byte, 0, fr.r.Size())
+		for err == nil && len(payload) < int(length) {
+			if len(payload) == cap(payload) {
+				grown := make([]byte, len(payload), min(2*cap(payload), int(length)))
+				payload = grown[:copy(grown, payload)]
+			}
+			m, rerr := io.ReadFull(fr.r, payload[len(payload):min(cap(payload), int(length))])
+			payload, err = payload[:len(payload)+m], rerr
 		}
+		n = len(payload)
 	}
 	fr.off += int64(n)
 	if err != nil {

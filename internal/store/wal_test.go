@@ -1,10 +1,13 @@
 package store
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -208,6 +211,66 @@ func TestTornTailTruncated(t *testing.T) {
 	defer s3.Close()
 	if n := s3.Count("sample"); n != 10 {
 		t.Fatalf("post-repair commits lost: %d rows, want 10", n)
+	}
+}
+
+// TestHugeFrameClaimIsTornTail: a final frame header that claims 1 GiB
+// over a few MiB of data is cut as a torn tail, and reading it allocates
+// in proportion to the bytes present, not to the claim.
+func TestHugeFrameClaimIsTornTail(t *testing.T) {
+	dir := t.TempDir()
+	s := openTestDir(t, dir, SyncOff)
+	if err := s.CreateTable("sample"); err != nil {
+		t.Fatal(err)
+	}
+	commitN(t, s, "sample", 3)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	seg := lastSegment(t, dir)
+	good, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const present = 3 << 20
+	data := append([]byte(nil), good...)
+	data = binary.LittleEndian.AppendUint32(data, 1<<30) // length
+	data = binary.LittleEndian.AppendUint32(data, 0)     // checksum
+	data = append(data, bytes.Repeat([]byte{0xA5}, present)...)
+	if err := os.WriteFile(seg, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	fr, err := newWALFrameReader(bytes.NewReader(data), walMagic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := 0
+	for {
+		if _, err = fr.next(); err != nil {
+			break
+		}
+		frames++
+	}
+	runtime.ReadMemStats(&after)
+	var tfe *tornFrameError
+	if !errors.As(err, &tfe) || tfe.off != int64(len(good)) || frames != 3 {
+		t.Fatalf("after %d frames: err %v, want a torn frame at offset %d after 3", frames, err, len(good))
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 4*present {
+		t.Errorf("reading the claimed frame allocated %d bytes over %d present", alloc, present)
+	}
+
+	s2 := openTestDir(t, dir, SyncOff)
+	defer s2.Close()
+	if n := s2.Count("sample"); n != 3 {
+		t.Fatalf("recovered %d rows, want the 3 before the claimed frame", n)
+	}
+	if info, err := os.Stat(seg); err != nil || info.Size() != int64(len(good)) {
+		t.Fatalf("segment after recovery: %v, size %d, want cut to %d", err, info.Size(), len(good))
 	}
 }
 

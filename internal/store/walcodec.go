@@ -67,9 +67,10 @@ func appendBool(b []byte, v bool) []byte {
 	return append(b, 0)
 }
 
-// appendRow encodes one live record in the write layout: id, field count,
-// then the fields in ascending key order (IDField is carried by id).
-// Shared by the commit path (Tx.encodeWALPayload) and the snapshot writer.
+// appendRow encodes a caller's record in the write layout: id, field
+// count, then the fields in ascending key order (IDField is carried by
+// id). It is how every Row is made (encodeRow); the commit path and the
+// snapshot writer copy those bytes as they are.
 func appendRow(buf []byte, id int64, r Record) ([]byte, error) {
 	var scratch [32]string // sorts typical records without allocating
 	ks := scratch[:0]
@@ -90,9 +91,8 @@ func appendRow(buf []byte, id int64, r Record) ([]byte, error) {
 	return buf, nil
 }
 
-// appendValue encodes one live record value in the field layout.
-// Unsupported types cannot reach here because Insert/Put validate on the
-// way in.
+// appendValue encodes one record value in the field layout, refusing
+// unsupported types with ErrBadValue.
 func appendValue(buf []byte, key string, v any) ([]byte, error) {
 	buf = appendStr(buf, key)
 	switch x := v.(type) {
@@ -221,8 +221,9 @@ func walRecordSeq(payload []byte) (uint64, bool) {
 }
 
 // decodeWALRecord parses a payload produced by Tx.encodeWALPayload or the
-// snapshot writer. Each write decodes straight into a fresh Record, id
-// included, ready to install.
+// snapshot writer. Each write is validated in place and copied out as a
+// Row — its bytes exactly as they sit in the payload, ready to install —
+// so a K-row frame costs K row allocations plus a few for the frame.
 func decodeWALRecord(payload []byte) (walRecord, error) {
 	d := &walDecoder{b: payload}
 	rec := walRecord{Seq: d.u64()}
@@ -240,22 +241,23 @@ func decodeWALRecord(payload []byte) (walRecord, error) {
 			}
 		}
 		if n := d.count(12); n > 0 {
-			tc.Writes = make([]Record, n)
+			tc.Writes = make([]Row, n)
 		}
 		for j := range tc.Writes {
-			id := d.i64()
-			n := d.count(5)
-			r := make(Record, n+1)
-			r[IDField] = id
-			prev := ""
-			for k := 0; k < n; k++ {
-				key, v := d.field()
-				if key == IDField || (k > 0 && key <= prev) {
+			start := d.off
+			d.i64() // id
+			var prev []byte
+			for k, n := 0, d.count(5); k < n; k++ {
+				key := d.field()
+				if string(key) == IDField || (k > 0 && string(key) <= string(prev)) {
 					d.fail()
 				}
-				r[key], prev = v, key
+				prev = key
 			}
-			tc.Writes[j] = r
+			if d.err != nil {
+				break
+			}
+			tc.Writes[j] = Row{string(d.b[start:d.off])}
 		}
 	}
 	if err := d.done(); err != nil {
@@ -264,18 +266,16 @@ func decodeWALRecord(payload []byte) (walRecord, error) {
 	return rec, nil
 }
 
-// field decodes one key and its typed value.
-func (d *walDecoder) field() (string, any) {
-	key := d.str()
+// field validates one key and its typed value and returns the key.
+func (d *walDecoder) field() []byte {
+	key := d.bytes()
 	switch d.u8() {
 	case kindString:
-		return key, d.str()
-	case kindInt:
-		return key, d.i64()
-	case kindFloat:
-		return key, math.Float64frombits(d.u64())
+		d.bytes()
+	case kindInt, kindFloat:
+		d.take(8)
 	case kindBool:
-		return key, d.boolean()
+		d.boolean()
 	case kindTime:
 		// Only the encoding the writer produces is accepted: a time that
 		// would re-encode differently is not a payload we wrote.
@@ -287,20 +287,14 @@ func (d *walDecoder) field() (string, any) {
 		} else if cb, err := t.AppendBinary(canon[:0]); err != nil || !bytes.Equal(cb, tb) {
 			d.fail()
 		}
-		return key, t
 	case kindIntList:
-		l := make([]int64, d.count(8))
-		for i := range l {
-			l[i] = d.i64()
-		}
-		return key, l
+		d.take(8 * d.count(8))
 	case kindStringList:
-		l := make([]string, d.count(4))
-		for i := range l {
-			l[i] = d.str()
+		for n := d.count(4); n > 0; n-- {
+			d.bytes()
 		}
-		return key, l
+	default:
+		d.fail()
 	}
-	d.fail()
-	return key, nil
+	return key
 }

@@ -12,6 +12,11 @@ import (
 
 func TestWALCodecRoundTrip(t *testing.T) {
 	when := time.Date(2010, 1, 2, 3, 4, 5, 6, time.UTC)
+	src := Record{
+		IDField: int64(5), "name": "arabidopsis", "count": int64(-12),
+		"ratio": 0.25, "active": true, "created": when,
+		"extracts": []int64{1, 2, 3}, "tags": []string{"a", ""},
+	}
 	rec := walRecord{
 		Seq: 42,
 		Tables: []walTableChange{
@@ -19,11 +24,7 @@ func TestWALCodecRoundTrip(t *testing.T) {
 				Name:    "sample",
 				NextID:  17,
 				Deletes: []int64{3, 9},
-				Writes: []Record{{
-					IDField: int64(5), "name": "arabidopsis", "count": int64(-12),
-					"ratio": 0.25, "active": true, "created": when,
-					"extracts": []int64{1, 2, 3}, "tags": []string{"a", ""},
-				}},
+				Writes:  []Row{refRow(src)},
 			},
 			{Name: "empty-change", NextID: 99},
 		},
@@ -38,6 +39,9 @@ func TestWALCodecRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(rec, got) {
 		t.Errorf("round trip mismatch:\n in  %#v\n out %#v", rec, got)
+	}
+	if back := got.Tables[0].Writes[0].Record(); !reflect.DeepEqual(back, src) {
+		t.Errorf("row decodes to\n %#v\nwant\n %#v", back, src)
 	}
 }
 
@@ -63,10 +67,7 @@ func TestWALEncoderEquivalence(t *testing.T) {
 			return err
 		}
 
-		direct, seq, err := tx.encodeWALPayload(tx.ver)
-		if err != nil {
-			return err
-		}
+		direct, seq := tx.encodeWALPayload(tx.ver)
 		rec, changed, err := tx.buildWALRecord()
 		if err != nil {
 			return err
@@ -96,7 +97,7 @@ func TestQuickWALCodec(t *testing.T) {
 			Seq: seq,
 			Tables: []walTableChange{{
 				Name:   name,
-				Writes: []Record{{IDField: ival, "s": sval, "i": ival, "f": fval, "b": bval}},
+				Writes: []Row{refRow(Record{IDField: ival, "s": sval, "i": ival, "f": fval, "b": bval})},
 			}},
 		}
 		payload, err := encodeWALRecord(rec)
@@ -128,9 +129,11 @@ func TestQuickWALCodec(t *testing.T) {
 
 // encodeWALRecord is the test-only reference encoder: the struct-based
 // counterpart of the production direct-overlay encoder
-// (Tx.encodeWALPayload), with its own field encoder. It exists to pin the
-// byte layout via TestWALEncoderEquivalence and to build arbitrary
-// records for the codec round-trip tests.
+// (Tx.encodeWALPayload), with its own field encoder. Rows are decoded to
+// Records and encoded afresh, so a row whose bytes are not what its
+// values encode to shows up as a diff. It exists to pin the byte layout
+// via TestWALEncoderEquivalence and to build arbitrary records for the
+// codec round-trip tests.
 func encodeWALRecord(rec walRecord) ([]byte, error) {
 	buf := make([]byte, 0, 256)
 	buf = appendU64(buf, rec.Seq)
@@ -144,24 +147,43 @@ func encodeWALRecord(rec walRecord) ([]byte, error) {
 		}
 		buf = appendU32(buf, uint32(len(tc.Writes)))
 		for _, r := range tc.Writes {
-			keys := make([]string, 0, len(r))
-			for k := range r {
-				if k != IDField {
-					keys = append(keys, k)
-				}
-			}
-			sort.Strings(keys)
-			buf = appendI64(buf, r.ID())
-			buf = appendU32(buf, uint32(len(keys)))
-			for _, k := range keys {
-				var err error
-				if buf, err = appendField(buf, k, r[k]); err != nil {
-					return nil, err
-				}
+			var err error
+			if buf, err = appendRefRow(buf, r.Record()); err != nil {
+				return nil, err
 			}
 		}
 	}
 	return buf, nil
+}
+
+// appendRefRow encodes r, id taken from its IDField, with the reference
+// field encoder.
+func appendRefRow(buf []byte, r Record) ([]byte, error) {
+	keys := make([]string, 0, len(r))
+	for k := range r {
+		if k != IDField {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	buf = appendI64(buf, r.ID())
+	buf = appendU32(buf, uint32(len(keys)))
+	for _, k := range keys {
+		var err error
+		if buf, err = appendField(buf, k, r[k]); err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
+}
+
+// refRow is the Row the reference encoder makes of r.
+func refRow(r Record) Row {
+	b, err := appendRefRow(nil, r)
+	if err != nil {
+		panic(err)
+	}
+	return Row{string(b)}
 }
 
 func appendField(buf []byte, key string, v any) ([]byte, error) {

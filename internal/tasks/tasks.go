@@ -92,7 +92,7 @@ func New(s *store.Store, bus *events.Bus) *Engine {
 
 func refKey(kind string, ref int64) string { return kind + ":" + strconv.FormatInt(ref, 10) }
 
-func taskFromRecord(r store.Record) Task {
+func taskFromRecord(r store.Row) Task {
 	return Task{
 		ID:            r.ID(),
 		Type:          r.String("type"),

@@ -97,7 +97,7 @@ func termKey(vocabulary, value string) string {
 	return vocabulary + "\x00" + strings.ToLower(strings.TrimSpace(value))
 }
 
-func termFromRecord(r store.Record) Term {
+func termFromRecord(r store.Row) Term {
 	return Term{
 		ID:          r.ID(),
 		Vocabulary:  r.String("vocabulary"),
@@ -139,8 +139,7 @@ func (sv *Service) AddTerm(tx *store.Tx, actor, vocabulary, value string, releas
 		}
 		return Term{}, err
 	}
-	t := termFromRecord(rec)
-	t.ID = id
+	t := Term{ID: id, Vocabulary: vocabulary, Value: value, State: state, CreatedBy: actor, ReviewedBy: reviewedBy}
 	sv.rg.Bus().Publish(events.Event{
 		Topic: "annotation.created", Kind: termsTable, ID: id, Actor: actor, Tx: tx,
 		Payload: map[string]any{"vocabulary": vocabulary, "value": value, "state": state},
@@ -381,8 +380,11 @@ func (sv *Service) Merge(tx *store.Tx, actor string, keepID, dropID int64, newVa
 			}
 		}
 	}
-	winner := termFromRecord(keep)
-	winner.ID = keepID
+	ref, err := tx.GetRef(termsTable, keepID)
+	if err != nil {
+		return MergeResult{}, err
+	}
+	winner := termFromRecord(ref)
 	sv.rg.Bus().Publish(events.Event{
 		Topic: "annotation.merged", Kind: termsTable, ID: keepID, Actor: actor, Tx: tx,
 		Payload: map[string]any{

@@ -258,7 +258,7 @@ func (e *Engine) Definitions() []string {
 	return out
 }
 
-func instanceFromRecord(r store.Record) Instance {
+func instanceFromRecord(r store.Row) Instance {
 	return Instance{
 		ID:         r.ID(),
 		Definition: r.String("definition"),
@@ -323,7 +323,7 @@ func (e *Engine) Start(tx *store.Tx, defName, actor string, vars map[string]stri
 
 // Get returns the instance with the given id.
 func (e *Engine) Get(tx *store.Tx, id int64) (Instance, error) {
-	r, err := tx.Get(instTable, id)
+	r, err := tx.GetRef(instTable, id)
 	if err != nil {
 		return Instance{}, err
 	}
@@ -385,11 +385,11 @@ func (e *Engine) Fire(tx *store.Tx, id int64, action, actor string) error {
 }
 
 func (e *Engine) fireOne(tx *store.Tx, id int64, action, actor string) error {
-	r, err := tx.Get(instTable, id)
+	ref, err := tx.GetRef(instTable, id)
 	if err != nil {
 		return err
 	}
-	inst := instanceFromRecord(r)
+	inst, r := instanceFromRecord(ref), ref.Record()
 	if inst.State != StateActive {
 		return fmt.Errorf("workflow: instance %d is %q: %w", id, inst.State, ErrNotActive)
 	}

@@ -47,8 +47,8 @@ func scanRecords(t *testing.T, tx *store.Tx, table string, keep func(store.Recor
 			t.Fatalf("naive walk of %s at id %d (%d of %d rows seen): %v", table, id, seen, n, err)
 		}
 		seen++
-		if keep(r) {
-			out = append(out, r)
+		if rec := r.Record(); keep(rec) {
+			out = append(out, rec)
 		}
 	}
 	return out
